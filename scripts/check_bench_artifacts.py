@@ -27,6 +27,12 @@ SCHEMA = 1
 #: Per-artifact contracts, keyed by basename: every listed row name
 #: must appear in ``results``, carrying every listed field.
 REQUIRED_ROWS: dict[str, dict[str, tuple[str, ...]]] = {
+    "BENCH_stabilize.json": {
+        "parallel_stabilize": (
+            "serial_per_s", "threaded_8_per_s", "speedup", "rounds",
+            "speedup_iqr",
+        ),
+    },
     "BENCH_remote.json": {
         "remote_fetch_scaling": (
             "client_procs", "servers", "remote_records_per_s",

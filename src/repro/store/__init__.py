@@ -70,10 +70,9 @@ def open_store(url: str, registry=None) -> ObjectStore:
     A query string tunes the stack: engine keys are listed in the
     factory module; store-level keys are ``?cache_objects=N`` (bound
     the live-object cache — at most N clean objects pinned strongly,
-    the tail demoted to weak references), ``?compress=zlib:1`` (a
+    the tail demoted to weak references) and ``?compress=zlib:1`` (a
     per-record codec for new writes; ``zlib`` / ``lzma``, optional
-    ``:level``) and ``?encode_workers=N`` (stabilise encoder pool
-    size, ``0`` = inline).
+    ``:level``).
     """
     return ObjectStore.from_url(url, registry=registry)
 

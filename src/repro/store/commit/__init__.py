@@ -18,23 +18,17 @@ which puts an fsync floor under every commit.  This package brokers
   the child engine), so callers observe their own writes immediately
   whatever the durability policy;
 * :class:`~repro.store.commit.pipeline.CommitTicket` — the durability
-  future a submission returns;
-* :class:`~repro.store.commit.encode.EncoderPool` — the worker pool
-  behind the store's three-phase ``stabilize()``: dirty records are
-  serialised, signed and (optionally) compressed in chunks *outside*
-  the store's commit lock, streaming into the write batch as chunks
-  finish.
+  future a submission returns.
+
+The store's ``stabilize()`` encodes its dirty records on the calling
+thread, outside its commit lock, and hands the batch to whichever of
+these engines it runs over.
 
 Engines pick a policy via storage-URL query parameters
 (``file:/p?durability=group``) — see
 :func:`repro.store.engine.factory.engine_from_url`.
 """
 
-from repro.store.commit.encode import (
-    EncodedRecord,
-    EncoderPool,
-    encode_chunk,
-)
 from repro.store.commit.pipeline import (
     CommitPipeline,
     CommitTicket,
@@ -51,9 +45,6 @@ __all__ = [
     "CommitPipeline",
     "CommitTicket",
     "PipelinedEngine",
-    "EncoderPool",
-    "EncodedRecord",
-    "encode_chunk",
     "DurabilityPolicy",
     "SyncPolicy",
     "GroupPolicy",

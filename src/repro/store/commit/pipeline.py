@@ -423,14 +423,6 @@ class PipelinedEngine(StorageEngine):
         return self._pipeline
 
     @property
-    def shard_of(self):
-        """The child's OID->shard map when it is sharded, else ``None``.
-
-        Exposed so the store's encode phase can align its chunks with
-        the shards of a sharded engine running *behind* a pipeline."""
-        return getattr(self._child, "shard_of", None)
-
-    @property
     def directory(self):
         """The child's backing directory, if it has one (store API)."""
         return getattr(self._child, "directory", None)

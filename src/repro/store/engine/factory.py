@@ -65,8 +65,7 @@ unknown keys, malformed pairs and out-of-range values raise
 A few query keys belong to the *store* layer rather than any engine:
 ``cache_objects`` bounds the store's live-object cache, ``compress``
 names a per-record codec for new writes (``zlib``, ``zlib:1`` …
-``zlib:9``, ``lzma``, ``lzma:0`` … ``lzma:9``, or ``none``) and
-``encode_workers`` sizes the stabilise encoder pool (``0`` = inline),
+``zlib:9``, ``lzma``, ``lzma:0`` … ``lzma:9``, or ``none``),
 ``trace_sample`` head-samples 1 in N store ops into the span tracer,
 ``slow_trace_ms`` always keeps traces for store ops slower than the
 threshold, and ``trace_log`` names a JSONL sink for kept spans.
@@ -96,8 +95,8 @@ _PIPELINE_KEYS = ("durability", "group_window_ms", "group_max_batches",
 #: engine factory never sees them (``split_store_url`` peels them off).
 #: The trace keys configure the store's sampling tracer (the server
 #: process takes the equivalent via ``store_server.py --trace-log``).
-STORE_KEYS = ("cache_objects", "compress", "encode_workers",
-              "trace_sample", "slow_trace_ms", "trace_log")
+STORE_KEYS = ("cache_objects", "compress", "trace_sample",
+              "slow_trace_ms", "trace_log")
 
 #: Observability keys, honoured for every scheme.  ``open_store``
 #: consumes them via ``split_store_url`` (metrics default *on* at the
@@ -352,8 +351,7 @@ def split_store_url(url: str) -> tuple[str, dict]:
     every engine-level parameter and ``store_options`` is ready to pass
     to ``ObjectStore(**store_options)``: ``cache_objects`` (the bounded
     object-cache capacity, an integer >= 1), ``compress`` (a per-record
-    codec spec such as ``zlib:1``), ``encode_workers`` (stabilise
-    encoder pool size, an integer >= 0), ``metrics`` (0/1, store
+    codec spec such as ``zlib:1``), ``metrics`` (0/1, store
     telemetry — default on), ``slow_op_ms`` (log engine ops slower
     than this threshold), ``trace_sample`` (head-sample 1 in N store
     ops into the span tracer, ``0`` = off), ``slow_trace_ms`` (always
@@ -386,15 +384,6 @@ def split_store_url(url: str) -> tuple[str, dict]:
                 f"query parameter compress is invalid: {exc}"
             ) from None
         store_options["compress"] = spec
-    if "encode_workers" in params:
-        workers = _int_param(params, "encode_workers")
-        if workers is not None and workers < 0:
-            raise ValueError(
-                f"query parameter encode_workers must be >= 0, "
-                f"got {workers}"
-            )
-        store_options["encode_workers"] = workers
-        del params["encode_workers"]
     if "trace_sample" in params:
         sample = _int_param(params, "trace_sample")
         if sample is not None and sample < 0:

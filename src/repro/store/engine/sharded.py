@@ -418,9 +418,8 @@ class ShardedEngine(StorageEngine):
         The per-shard staging blobs (``encode_batch`` of each
         sub-batch) are built and written in parallel on the shard pool
         via ``_fan`` — the write-side counterpart of ``fetch_many``'s
-        fan-out.  The store's stabilise encode phase aligns its chunks
-        with ``shard_of`` so each encoded chunk's records land in one
-        sub-batch here, keeping that fan-out balanced.
+        fan-out.  :meth:`partition` has already split the batch by
+        ``shard_of``, whatever order the store encoded its records in.
 
         Public (like ``FileEngine.log_batch``) so crash recovery is
         testable: a process dying after a partial or complete prepare,

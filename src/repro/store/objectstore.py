@@ -58,7 +58,6 @@ from repro.errors import (
     UnknownOidError,
     UnknownRootError,
 )
-from repro.store.commit.encode import EncoderPool
 from repro.store.engine.base import StorageEngine, WriteBatch
 from repro.store.engine.filesystem import FileEngine
 from repro.store.engine.memory import MemoryEngine
@@ -73,10 +72,12 @@ from repro.store.oids import Oid, OidAllocator
 from repro.store.registry import ClassRegistry
 from repro.store.serializer import (
     KIND_WEAKREF,
+    EncodedRecord,
     Record,
     RecordCodec,
     Ref,
     Serializer,
+    encode_record,
     parse_codec,
     record_refs,
     snapshots_equal,
@@ -129,7 +130,6 @@ class ObjectStore:
                  engine: StorageEngine | None = None,
                  cache_objects: int | None = None,
                  compress: str | RecordCodec | None = None,
-                 encode_workers: int | None = None,
                  metrics: bool | MetricsRegistry = True,
                  slow_op_ms: float | None = None,
                  trace_sample: int | None = None,
@@ -237,13 +237,18 @@ class ObjectStore:
         # batches coalesce into group commits while other threads walk.
         # Re-entrant because collect_garbage() stabilises internally.
         self._commit_lock = threading.RLock()
-        #: Per-OID commit sequence: the walk number of the *latest*
-        #: stabilise that collected the OID as dirty.  With the encode
+        #: Per-OID commit sequence: the walk number of the stabilise
+        #: whose commit phase last installed the OID.  With the encode
         #: phase outside the lock, two concurrent stabilises can reach
         #: their commit phase out of walk order; the later walk always
-        #: wins — the earlier one drops any OID stamped after it, so a
-        #: stale encoding can never overwrite a fresher committed one.
+        #: wins — an earlier one skips any OID a later one installed, so
+        #: a stale encoding can never overwrite a fresher committed one,
+        #: and writes any other, because a later commit overwrites it.
         self._commit_seq: dict[Oid, int] = {}
+        #: Walk number -> durability ticket of each submitted commit
+        #: whose stabilise is still waiting on it.  A stabilise that
+        #: leaves a record to such a commit waits on its ticket too.
+        self._in_flight: dict[int, Any] = {}
         self._stabilize_seq = 0
         #: Bumped by every garbage collection; a stabilise whose walk
         #: predates the sweep re-walks instead of committing records
@@ -251,9 +256,6 @@ class ObjectStore:
         self._gc_seq = 0
         #: The per-record codec new writes go through (``None``: raw).
         self._codec = parse_codec(compress)
-        #: The encode phase's worker pool (``encode_workers=0`` keeps
-        #: encoding inline on the stabilising thread).
-        self._encoder = EncoderPool(workers=encode_workers)
         #: Cumulative stabilise-phase counters behind :meth:`stats`, now
         #: registry instruments (``stats()`` stays as the compat view).
         #: Every increment happens under the commit lock, which keeps
@@ -292,14 +294,6 @@ class ObjectStore:
                    lambda: self._planner.plans)
         m.gauge_fn("store_fault_waves_total",
                    lambda: self._planner.total_waves)
-        m.gauge_fn("store_encode_chunks_total",
-                   lambda: self._encoder.chunks_encoded)
-        m.gauge_fn("store_encode_pool_ns_total",
-                   lambda: self._encoder.encode_ns)
-        m.gauge_fn("store_encode_raw_bytes_total",
-                   lambda: self._encoder.raw_bytes)
-        m.gauge_fn("store_encode_stored_bytes_total",
-                   lambda: self._encoder.stored_bytes)
         #: Ticket of the most recent engine commit this store submitted
         #: (for awaiting an ``async``-policy engine's durability).
         self.last_commit = None
@@ -342,9 +336,8 @@ class ObjectStore:
         :func:`repro.store.engine.factory.engine_from_url`.  Store-level
         query parameters are split off here; everything else tunes the
         engine.  ``?cache_objects=50000`` bounds the object cache,
-        ``?compress=zlib:1`` (or ``lzma:0``) compresses new record
-        writes per record, and ``?encode_workers=N`` sizes the stabilise
-        encode pool (``0`` keeps encoding inline).  Telemetry defaults
+        and ``?compress=zlib:1`` (or ``lzma:0``) compresses new record
+        writes per record.  Telemetry defaults
         on: ``?metrics=0`` disables it, ``?slow_op_ms=N`` logs one
         structured line per engine op slower than N milliseconds.
         Tracing defaults off: ``?trace_sample=N`` head-samples one in N
@@ -371,7 +364,6 @@ class ObjectStore:
         if self._closed:
             return
         self._closed = True
-        self._encoder.close()
         self._engine.close()
         self._tracer.close()
 
@@ -781,18 +773,19 @@ class ObjectStore:
         1. *Walk* — under the commit lock: reachability, dirty detection
            and flattening (OID assignment needs the identity map), which
            yields the dirty ``(oid, record)`` set and fresh shadows.
-        2. *Encode* — no lock held: the dirty set is chunked onto the
-           encoder pool, where ``to_bytes()`` + crc signature + optional
-           per-record compression run; encoded chunks stream into the
-           write batch in completion order.  crc and compression release
-           the GIL, so encode work overlaps other threads' walks and
-           commit waits.
+        2. *Encode* — no lock held, on the calling thread: each dirty
+           record runs ``to_bytes()`` + crc signature + optional
+           per-record compression into the write batch.  Other threads
+           walk and commit meanwhile, and crc and compression release
+           the GIL.
         3. *Commit* — back under the lock: the batch is submitted and
            the optimistic bookkeeping installed, with the pre-commit
            values kept for rollback.  Per-OID commit sequence numbers
-           (stamped during the walk) resolve races between stabilises
-           that reach this phase out of walk order, and a garbage
-           collection between walk and commit forces a re-walk.
+           (stamped here) resolve races between stabilises that reach
+           this phase out of walk order: a record a later walk already
+           committed is skipped, and the call then also waits for that
+           commit.  A garbage collection between walk and commit forces
+           a re-walk.
 
         Thread-safe: over an engine with a ``group`` commit pipeline,
         stabilises from several threads coalesce into shared group
@@ -819,8 +812,10 @@ class ObjectStore:
                     # freed OIDs.  Rare (collections take the commit lock
                     # for their whole mark/sweep), so simply re-walk.
                     continue
-                written, seq, ticket, rollback = outcome
-                if ticket is not None and not self._engine.asynchronous:
+                written, seq, ticket, borrowed, rollback = outcome
+                if self._engine.asynchronous:
+                    return written
+                if ticket is not None:
                     # The durability wait happens with no lock held, so
                     # stabilises from several threads coalesce into
                     # shared group commits over a pipelined engine.
@@ -829,11 +824,17 @@ class ObjectStore:
                         ticket.result()
                     except BaseException:
                         with self._commit_lock:
-                            self._rollback_bookkeeping(seq, *rollback)
+                            self._rollback_bookkeeping(seq, rollback)
+                            self._in_flight.pop(seq, None)
                         raise
                     with self._commit_lock:
+                        self._in_flight.pop(seq, None)
                         self._phase_counters["commit_ns"].inc(
                             time.perf_counter_ns() - wait_start)
+                # Records this walk left to another stabilise's commit
+                # are durable only once that commit is.
+                for other in borrowed:
+                    other.result()
                 return written
         finally:
             with self._commit_lock:
@@ -844,17 +845,11 @@ class ObjectStore:
 
         Returns ``None`` when a concurrent garbage collection
         invalidated the walk (the caller must retry), else a
-        ``(written, seq, ticket, rollback)`` tuple — ``ticket`` is the
-        durability ticket of the submitted batch (``None`` when the
-        checkpoint was clean) and ``rollback`` the pre-commit
-        bookkeeping for a failed wait.
-
-        Small dirty sets (at most one encode chunk's worth) run all
-        three phases under one continuous hold of the commit lock:
-        there is no encode parallelism to win, and the continuous hold
-        keeps the incremental-commit profile identical to the
-        pre-pipeline write path.  Only dirty sets large enough to
-        chunk release the lock for the encode phase.
+        ``(written, seq, ticket, borrowed, rollback)`` tuple: ``ticket``
+        is the durability ticket of the submitted batch (``None`` when
+        the checkpoint was clean), ``borrowed`` the in-flight tickets of
+        other stabilises this one's records ride on, and ``rollback``
+        the pre-commit bookkeeping for a failed wait.
         """
         # ---- phase 1: walk (commit lock held, no engine I/O) ----------
         walk_start = time.perf_counter_ns()
@@ -863,61 +858,18 @@ class ObjectStore:
             self._stabilize_seq += 1
             seq = self._stabilize_seq
             reachable, records, fresh_shadows = self._flatten_from_roots()
-            # Walk-time stored signatures drive the encode phase's
-            # unchanged-bytes filter; the stamps make this walk the
-            # current owner of its dirty OIDs.
-            prev_sigs = {oid: self._stored_sig.get(oid) for oid in records}
-            for oid in records:
-                self._commit_seq[oid] = seq
             walk_ns = time.perf_counter_ns() - walk_start
             active = current_span()
             if active is not None:
                 active.child("store.walk", time.time_ns() - walk_ns,
                              walk_ns)
-            if (self._encoder.workers == 0
-                    or len(records) <= self._encoder.chunk_records):
-                # Small dirty set: encode inline under the same lock hold
-                # — a lock bounce costs more than the encode itself.
-                return self._encode_and_commit(seq, gc_seq, records,
-                                               prev_sigs, fresh_shadows,
-                                               walk_ns)
-        return self._encode_and_commit(seq, gc_seq, records, prev_sigs,
-                                       fresh_shadows, walk_ns)
 
-    def _encode_and_commit(self, seq, gc_seq, records, prev_sigs,
-                           fresh_shadows, walk_ns):
-        """Phases 2 and 3 of one stabilise attempt.  Called either under
-        the commit lock (small dirty set — the phase-3 ``with`` is a
-        reentrant no-op) or without it (pipelined encode)."""
-        # ---- phase 2: encode (chunks stream in) -----------------------
+        # ---- phase 2: encode (no lock held, except re-entrantly by a
+        # stabilise nested in collect_garbage) --------------------------
         encode_start = time.perf_counter_ns()
-        batch = WriteBatch()
-        written_sigs: dict[Oid, tuple[int, int]] = {}
-        encoded_bytes = 0
-        stored_bytes = 0
-        group_of = getattr(self._engine, "shard_of", None)
-        try:
-            for chunk in self._encoder.encode_stream(records.values(),
-                                                     self._codec,
-                                                     group_of=group_of):
-                for item in chunk:
-                    encoded_bytes += item.raw_len
-                    stored_bytes += len(item.stored)
-                    if prev_sigs[item.oid] == item.sig:
-                        # Bytes identical to the stored record (a
-                        # conservative snapshot fired): nothing to write.
-                        continue
-                    batch.write(item.oid, item.stored)
-                    written_sigs[item.oid] = item.sig
-        except BaseException:
-            # An aborted encode must leave no trace: signatures and
-            # shadows were never touched, so only our walk stamps need
-            # releasing (entries a later walk re-stamped are theirs).
-            with self._commit_lock:
-                for oid in records:
-                    if self._commit_seq.get(oid) == seq:
-                        del self._commit_seq[oid]
-            raise
+        codec = self._codec
+        encoded = [encode_record(record, codec)
+                   for record in records.values()]
         encode_ns = time.perf_counter_ns() - encode_start
         active = current_span()
         if active is not None:
@@ -928,28 +880,26 @@ class ObjectStore:
         commit_start = time.perf_counter_ns()
         with trace_span("store.commit"), self._commit_lock:
             if self._gc_seq != gc_seq:
-                for oid in records:
-                    if self._commit_seq.get(oid) == seq:
-                        del self._commit_seq[oid]
                 return None
-            # OIDs a later walk collected after ours: that stabilise
-            # observed fresher state, so our encoding must not land.
-            superseded = {oid for oid in records
-                          if self._commit_seq.get(oid, seq) > seq}
-            if superseded:
-                batch.writes = [(oid, raw) for oid, raw in batch.writes
-                                if oid not in superseded]
-                written_sigs = {oid: sig for oid, sig in written_sigs.items()
-                                if oid not in superseded}
-                fresh_shadows = {oid: snap
-                                 for oid, snap in fresh_shadows.items()
-                                 if oid not in superseded}
-            weak_targets = {
-                oid: (record.payload.oid
-                      if isinstance(record.payload, Ref) else None)
-                for oid, record in records.items()
-                if record.kind == KIND_WEAKREF and oid not in superseded
-            }
+            batch = WriteBatch()
+            claimed: list[tuple[EncodedRecord, bool]] = []
+            borrowed = set()
+            for item in encoded:
+                owner = self._commit_seq.get(item.oid, 0)
+                pending = self._in_flight.get(owner)
+                if owner > seq or (pending is not None and
+                                   item.sig == self._stored_sig.get(item.oid)):
+                    # A later walk already committed fresher state, or
+                    # these very bytes are still in flight in another
+                    # stabilise's commit: that commit covers the record.
+                    if pending is not None:
+                        borrowed.add(pending)
+                    continue
+                # Equal bytes mean a conservative snapshot fired: the
+                # stored record is current, nothing to write.
+                if item.sig != self._stored_sig.get(item.oid):
+                    batch.write(item.oid, item.stored)
+                claimed.append((item, pending is not None))
             # Roots and the allocator cursor are compared against the
             # engine *here*, not at walk time: a concurrent stabilise
             # may have committed newer values since our walk.
@@ -961,59 +911,66 @@ class ObjectStore:
             counters["stabilize_count"].inc()
             counters["walk_ns"].inc(walk_ns)
             counters["encode_ns"].inc(encode_ns)
-            counters["encoded_bytes"].inc(encoded_bytes)
-            counters["compressed_bytes"].inc(stored_bytes)
+            counters["encoded_bytes"].inc(
+                sum(item.raw_len for item in encoded))
+            counters["compressed_bytes"].inc(
+                sum(len(item.stored) for item in encoded))
             # A fully-clean checkpoint (no writes, roots and allocator
             # cursor already durable) skips the engine entirely — no
             # fsyncs, no metadata rewrite.
-            if batch.is_empty:
-                self._shadow.update(fresh_shadows)
-                self._weak_stored.update(weak_targets)
-                counters["commit_ns"].inc(
-                    time.perf_counter_ns() - commit_start)
-                return 0, seq, None, None
+            ticket = None
+            if not batch.is_empty:
+                ticket = self._engine.apply_async(batch)
+                self.last_commit = ticket
+                if not self._engine.asynchronous:
+                    self._in_flight[seq] = ticket
             # Bookkeeping is committed optimistically under the lock (the
             # engine's pending overlay already serves the new state to
             # readers); the pre-commit values are kept so a failed commit
-            # re-dirties exactly what it covered.
-            rollback_sigs = {oid: prev_sigs[oid] for oid in written_sigs}
-            prev_shadows = {oid: self._shadow.get(oid)
-                            for oid in fresh_shadows}
-            prev_weak = {oid: self._weak_stored.get(oid, _WEAK_UNKNOWN)
-                         for oid in weak_targets}
-            ticket = self._engine.apply_async(batch)
-            self.last_commit = ticket
-            self._stored_sig.update(written_sigs)
-            self._shadow.update(fresh_shadows)
-            self._weak_stored.update(weak_targets)
+            # re-dirties exactly what it covered.  Values another
+            # stabilise's still-pending commit installed are not known
+            # to be durable, so a failure forgets them instead.
+            rollback: dict[Oid, tuple[Any, Any, Any]] = {}
+            for item, over_pending in claimed:
+                oid = item.oid
+                rollback[oid] = ((None, None, _WEAK_UNKNOWN) if over_pending
+                                 else (self._stored_sig.get(oid),
+                                       self._shadow.get(oid),
+                                       self._weak_stored.get(
+                                           oid, _WEAK_UNKNOWN)))
+                self._commit_seq[oid] = seq
+                self._stored_sig[oid] = item.sig
+                record = records[oid]
+                if record.kind == KIND_WEAKREF:
+                    self._weak_stored[oid] = (
+                        record.payload.oid
+                        if isinstance(record.payload, Ref) else None)
+                else:
+                    self._shadow[oid] = fresh_shadows[oid]
             counters["commit_ns"].inc(time.perf_counter_ns() - commit_start)
-        rollback = (rollback_sigs, prev_shadows, prev_weak)
-        return len(batch.writes), seq, ticket, rollback
+        return len(batch.writes), seq, ticket, borrowed, rollback
 
     def _rollback_bookkeeping(self, seq: int,
-                              rollback_sigs: dict[Oid, Any],
-                              prev_shadows: dict[Oid, Any],
-                              prev_weak: dict[Oid, Any]) -> None:
+                              rollback: dict[Oid, tuple[Any, Any, Any]]
+                              ) -> None:
         """Undo one failed commit's optimistic bookkeeping (caller holds
-        the commit lock).  Sequence-guarded: an OID a later walk stamped
-        belongs to that stabilise now — its bookkeeping stands."""
-        for oid, sig in rollback_sigs.items():
+        the commit lock).  Sequence-guarded: an OID a later commit
+        installed belongs to that stabilise now — its bookkeeping
+        stands."""
+        for oid, (sig, snap, target) in rollback.items():
             if self._commit_seq.get(oid) != seq:
                 continue
+            # Unowned again: an earlier walk still committing this OID
+            # writes it rather than deferring to a commit that failed.
+            del self._commit_seq[oid]
             if sig is None:
                 self._stored_sig.pop(oid, None)
             else:
                 self._stored_sig[oid] = sig
-        for oid, snap in prev_shadows.items():
-            if self._commit_seq.get(oid) != seq:
-                continue
             if snap is None:
                 self._shadow.pop(oid, None)
             else:
                 self._shadow[oid] = snap
-        for oid, target in prev_weak.items():
-            if self._commit_seq.get(oid) != seq:
-                continue
             if target is _WEAK_UNKNOWN:
                 self._weak_stored.pop(oid, None)
             else:

@@ -118,10 +118,6 @@ class TimedEngine(StorageEngine):
         pass  # the child owns the flag; the base initialiser's write lands here
 
     @property
-    def shard_of(self):
-        return getattr(self._child, "shard_of", None)
-
-    @property
     def directory(self):
         return getattr(self._child, "directory", None)
 

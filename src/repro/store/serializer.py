@@ -140,7 +140,10 @@ def _read_str(data: bytes, pos: int) -> tuple[str, int]:
     end = pos + length
     if end > len(data):
         raise DeserializationError("truncated string")
-    return data[pos:end].decode("utf-8"), end
+    try:
+        return data[pos:end].decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise DeserializationError(f"string is not UTF-8: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,17 @@ def encode_value(buf: bytearray, value: Any,
 
 
 def decode_value(data: bytes, pos: int) -> tuple[Any, int]:
-    """Decode one value; storable-node references come back as :class:`Ref`."""
+    """Decode one value; storable-node references come back as :class:`Ref`.
+
+    Nesting deeper than the interpreter's stack allows is reported as
+    corrupt input, like every other malformed byte string."""
+    try:
+        return _decode_value(data, pos)
+    except RecursionError:
+        raise DeserializationError("value nesting too deep") from None
+
+
+def _decode_value(data: bytes, pos: int) -> tuple[Any, int]:
     if pos >= len(data):
         raise DeserializationError("truncated value")
     tag = data[pos:pos + 1]
@@ -235,14 +248,14 @@ def decode_value(data: bytes, pos: int) -> tuple[Any, int]:
         count, pos = read_uvarint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = decode_value(data, pos)
+            item, pos = _decode_value(data, pos)
             items.append(item)
         return tuple(items), pos
     if tag == _TAG_FROZENSET:
         count, pos = read_uvarint(data, pos)
         items = []
         for _ in range(count):
-            item, pos = decode_value(data, pos)
+            item, pos = _decode_value(data, pos)
             items.append(item)
         return frozenset(items), pos
     if tag == _TAG_REF:
@@ -343,8 +356,10 @@ class Record:
         end = pos + body_len
         if end > len(data):
             raise DeserializationError("truncated record body")
-        body = data[pos:end]
-        payload = cls._decode_payload(kind, body)
+        try:
+            payload = cls._decode_payload(kind, data[pos:end])
+        except RecursionError:
+            raise DeserializationError("value nesting too deep") from None
         return cls(Oid(oid), kind, class_name, fingerprint, payload)
 
     @staticmethod
@@ -355,29 +370,29 @@ class Record:
             fields: dict[str, Any] = {}
             for _ in range(count):
                 name, pos = _read_str(body, pos)
-                value, pos = decode_value(body, pos)
+                value, pos = _decode_value(body, pos)
                 fields[name] = value
             return fields
         if kind in (KIND_LIST, KIND_SET):
             count, pos = read_uvarint(body, pos)
             items = []
             for _ in range(count):
-                value, pos = decode_value(body, pos)
+                value, pos = _decode_value(body, pos)
                 items.append(value)
             return items
         if kind == KIND_DICT:
             count, pos = read_uvarint(body, pos)
             pairs = []
             for _ in range(count):
-                key, pos = decode_value(body, pos)
-                value, pos = decode_value(body, pos)
+                key, pos = _decode_value(body, pos)
+                value, pos = _decode_value(body, pos)
                 pairs.append((key, value))
             return pairs
         if kind == KIND_BYTEARRAY:
             length, pos = read_uvarint(body, pos)
             return body[pos:pos + length]
         if kind == KIND_WEAKREF:
-            value, pos = decode_value(body, pos)
+            value, pos = _decode_value(body, pos)
             return value
         raise DeserializationError(f"unknown record kind {kind}")
 
@@ -553,6 +568,31 @@ def unwrap_record(data: bytes) -> bytes:
             f"to {len(raw)}"
         )
     return raw
+
+
+@dataclass(frozen=True)
+class EncodedRecord:
+    """One dirty record, encoded and ready to commit."""
+
+    oid: Oid
+    #: The bytes handed to the engine (codec-framed when that is smaller).
+    stored: bytes
+    #: ``(len, crc32)`` of the *raw* (uncompressed) record bytes — the
+    #: store's dirty filter compares signatures over raw bytes whatever
+    #: codec is in force, so legacy and compressed stores interoperate.
+    sig: tuple[int, int]
+    #: Length of the raw encoding (observability: ``encoded_bytes``).
+    raw_len: int
+
+
+def encode_record(record: Record,
+                  codec: Optional[RecordCodec]) -> EncodedRecord:
+    """Serialise one record, sign it and (optionally) compress it — the
+    write-side twin of :func:`unwrap_record`."""
+    raw = record.to_bytes()
+    sig = (len(raw), zlib.crc32(raw))
+    stored = codec.wrap(raw) if codec is not None else raw
+    return EncodedRecord(record.oid, stored, sig, len(raw))
 
 
 # ---------------------------------------------------------------------------

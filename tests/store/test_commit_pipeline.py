@@ -11,6 +11,7 @@ from repro.errors import (
     StoreClosedError,
     UnknownOidError,
 )
+import repro.store.objectstore as objectstore_mod
 from repro.store import open_store
 from repro.store.commit import (
     AsyncPolicy,
@@ -23,6 +24,8 @@ from repro.store.commit.policy import make_policy
 from repro.store.engine import FileEngine, MemoryEngine, WriteBatch
 from repro.store.objectstore import ObjectStore
 from repro.store.oids import Oid
+from repro.store.serializer import Record
+from repro.store.weakrefs import PersistentWeakRef
 
 from tests.conftest import Person
 
@@ -448,3 +451,189 @@ class TestStoreIntegration:
         with pytest.raises(CommitPipelineError):
             store.close()
         assert store.is_closed  # closed either way, never half-open
+
+    def test_failed_durability_rolls_back_bookkeeping(self, registry):
+        """A commit whose durability wait fails must re-dirty exactly
+        what its batch covered: signatures, shadows and weak targets
+        of the batch's OIDs return to their pre-stabilise values."""
+        store = ObjectStore(registry=registry,
+                            engine=PipelinedEngine(FailingEngine(),
+                                                   GroupPolicy()))
+        ann, bo = Person("ann"), Person("bo")
+        people = [ann, bo]
+        weak = PersistentWeakRef(ann)
+        store.set_root("people", people)
+        store.set_root("refs", [weak])
+        store.stabilize()  # the first commit lands
+        ann.name = "ann2"
+        people.append(Person("cara"))
+        weak.set(bo)
+        sigs = dict(store._stored_sig)
+        shadows = dict(store._shadow)
+        weak_targets = dict(store._weak_stored)
+        missing = object()
+        with pytest.raises((IOError, CommitPipelineError)):
+            store.stabilize()  # the child refuses the second commit
+        batch_oids = [store._identity.oid_for(obj)
+                      for obj in (ann, people, people[2], weak)]
+        assert None not in batch_oids
+        assert store._stored_sig.get(batch_oids[2]) is None
+        for oid in batch_oids:
+            assert store._stored_sig.get(oid) == sigs.get(oid)
+            assert store._shadow.get(oid, missing) \
+                is shadows.get(oid, missing)
+            assert store._weak_stored.get(oid, missing) \
+                == weak_targets.get(oid, missing)
+        with pytest.raises(CommitPipelineError):
+            store.close()
+
+
+def hold_encodes(monkeypatch, *names):
+    """Hold each named thread in its stabilise's encode phase — after its
+    walk — until released.  Returns ``{name: (reached, release)}``."""
+    gates = {name: (threading.Event(), threading.Event()) for name in names}
+    real = objectstore_mod.encode_record
+
+    def encode(record, codec):
+        gate = gates.get(threading.current_thread().name)
+        if gate is not None:
+            gate[0].set()
+            assert gate[1].wait(10.0), "encode never released"
+        return real(record, codec)
+
+    monkeypatch.setattr(objectstore_mod, "encode_record", encode)
+    return gates
+
+
+class TestOutOfOrderCommits:
+    """Two stabilises whose walks both collected a record, reaching
+    their commit phases in the opposite order: the earlier walk (thread
+    A) is held in its encode phase while a later one (thread B) walks."""
+
+    @pytest.fixture
+    def setup(self, registry):
+        child = GateEngine()
+        store = ObjectStore(registry=registry,
+                            engine=PipelinedEngine(child, GroupPolicy()))
+        ann = Person("ann")
+        store.set_root("p", ann)
+        store.stabilize()
+        yield store, child, ann
+        child.gate.set()
+        store.close()
+
+    @staticmethod
+    def start(store, name, results):
+        def run():
+            try:
+                results[name] = store.stabilize()
+            except Exception as exc:  # noqa: BLE001 - asserted on
+                results[name] = exc
+        thread = threading.Thread(target=run, name=name)
+        thread.start()
+        return thread
+
+    @staticmethod
+    def stored_name(child, store, obj):
+        oid = store._identity.oid_for(obj)
+        return Record.from_bytes(child.read(oid)).payload["name"]
+
+    def test_record_left_to_a_later_commit_waits_for_it(
+            self, setup, monkeypatch):
+        store, child, ann = setup
+        gates = hold_encodes(monkeypatch, "A")
+        ann.name = "ann2"
+        results = {}
+        a = self.start(store, "A", results)
+        assert gates["A"][0].wait(10.0)
+        # B walks, encodes and submits while A is held; its group
+        # commit then sits at the closed gate.  B's new root keeps the
+        # roots A compares against in the pipeline's pending overlay.
+        store.set_root("q", Person("q"))
+        child.gate.clear()
+        child.entered.clear()
+        b = self.start(store, "B", results)
+        assert child.entered.wait(10.0)
+        gates["A"][1].set()
+        # A skips the record B committed, so its own batch is empty —
+        # but it must not report success before B's commit is durable.
+        a.join(0.3)
+        assert a.is_alive()
+        child.gate.set()
+        a.join(10.0)
+        b.join(10.0)
+        assert results == {"A": 0, "B": 2}
+        assert self.stored_name(child, store, ann) == "ann2"
+
+    def test_earlier_walk_writes_a_record_not_yet_committed_later(
+            self, setup, monkeypatch):
+        store, child, ann = setup
+        gates = hold_encodes(monkeypatch, "A", "B")
+        ann.name = "ann2"
+        results = {}
+        a = self.start(store, "A", results)
+        assert gates["A"][0].wait(10.0)
+        b = self.start(store, "B", results)
+        assert gates["B"][0].wait(10.0)
+        # B has walked the record but not committed it: A writes it
+        # itself, and A's own ticket makes it durable.
+        gates["A"][1].set()
+        a.join(10.0)
+        assert results == {"A": 1}
+        assert self.stored_name(child, store, ann) == "ann2"
+        # B's identical bytes are already durable: nothing to write.
+        gates["B"][1].set()
+        b.join(10.0)
+        assert results == {"A": 1, "B": 0}
+        assert store.stabilize() == 0
+
+    def test_identical_bytes_in_flight_are_waited_for(
+            self, setup, monkeypatch):
+        store, child, ann = setup
+        gates = hold_encodes(monkeypatch, "A", "B")
+        ann.name = "ann2"
+        # A new root keeps the roots both compare against in the
+        # pipeline's pending overlay while A's commit is in flight.
+        store.set_root("q", Person("q"))
+        results = {}
+        a = self.start(store, "A", results)
+        assert gates["A"][0].wait(10.0)
+        b = self.start(store, "B", results)
+        assert gates["B"][0].wait(10.0)
+        child.gate.clear()
+        child.entered.clear()
+        gates["A"][1].set()
+        assert child.entered.wait(10.0)
+        # B encodes the very bytes A's pending commit carries: nothing
+        # to write, but B is durable only once A's commit is.
+        gates["B"][1].set()
+        b.join(0.3)
+        assert b.is_alive()
+        child.gate.set()
+        a.join(10.0)
+        b.join(10.0)
+        assert results == {"A": 2, "B": 0}
+
+    def test_record_left_to_a_failed_commit_is_not_reported_durable(
+            self, registry, monkeypatch):
+        store = ObjectStore(registry=registry,
+                            engine=PipelinedEngine(FailingEngine(),
+                                                   GroupPolicy()))
+        ann = Person("ann")
+        store.set_root("p", ann)
+        store.stabilize()  # the first commit lands
+        gates = hold_encodes(monkeypatch, "A")
+        ann.name = "ann2"
+        results = {}
+        a = self.start(store, "A", results)
+        assert gates["A"][0].wait(10.0)
+        b = self.start(store, "B", results)
+        b.join(10.0)
+        assert isinstance(results["B"], (IOError, CommitPipelineError))
+        # B's rollback hands the record back: A must commit it itself
+        # (and here fail with the poisoned pipeline), not skip it.
+        gates["A"][1].set()
+        a.join(10.0)
+        assert isinstance(results["A"], (IOError, CommitPipelineError))
+        with pytest.raises(CommitPipelineError):
+            store.close()

@@ -1,37 +1,36 @@
-"""The stabilise encode pipeline: chunk planning, the encoder pool,
-mid-stream failure atomicity, and codec round trips over every backend.
+"""The stabilise encode phase: per-record encoding on the stabilising
+thread, mid-encode failure atomicity, and codec round trips over every
+backend.
 
-The pipeline's contract is that parallel encode is *invisible* except
-in speed: a stabilise that fails mid-encode leaves no partial
-bookkeeping (signatures, shadows, engine state), and a store written
-with any worker count or codec reads back identically under any other.
+The encode phase's contract is that it is *invisible* except in
+speed: a stabilise that fails mid-encode leaves no partial bookkeeping
+(signatures, shadows, engine state), encoding runs with the commit
+lock released, and a store written with any codec reads back
+identically under any other.
 """
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.store.commit.encode import (
-    DEFAULT_CHUNK_RECORDS,
-    EncodedRecord,
-    EncoderPool,
-    encode_record,
-    plan_chunks,
-)
+import repro.store.objectstore as objectstore_mod
 from repro.store.objectstore import ObjectStore
 from repro.store.serializer import (
     CODEC_ZLIB,
     Record,
     RecordCodec,
+    encode_record,
     is_framed,
+    unwrap_record,
 )
 
 from tests.conftest import Person
 from tests.store.conftest import ENGINE_PARAMS, make_engine
 
-#: Enough records to split into several chunks (> DEFAULT_CHUNK_RECORDS),
-#: so stabilise actually exercises the pooled path.
-BULK = DEFAULT_CHUNK_RECORDS * 3 + 5
+#: A bulk dirty set: more than 100 records in one stabilise.
+BULK = 101
 
 
 def bulk_people(store, count=BULK):
@@ -47,35 +46,6 @@ def value_records(count):
             for i in range(count)]
 
 
-class TestPlanChunks:
-    def test_walk_order_split(self):
-        records = value_records(10)
-        chunks = plan_chunks(records, 4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert [r.oid for c in chunks for r in c] \
-            == [r.oid for r in records]
-
-    def test_empty_input(self):
-        assert plan_chunks([], 4) == []
-
-    def test_group_alignment(self):
-        # With a grouper (a sharded engine's shard_of), every chunk is
-        # single-group, so each encoded chunk's writes land on one shard.
-        records = value_records(20)
-        chunks = plan_chunks(records, 3, group_of=lambda oid: int(oid) % 4)
-        assert chunks  # grouped and split
-        for chunk in chunks:
-            groups = {int(r.oid) % 4 for r in chunk}
-            assert len(groups) == 1
-        flat = sorted(int(r.oid) for c in chunks for r in c)
-        assert flat == sorted(int(r.oid) for r in records)
-
-    def test_group_larger_than_chunk_splits(self):
-        records = value_records(10)
-        chunks = plan_chunks(records, 4, group_of=lambda oid: 0)
-        assert [len(c) for c in chunks] == [4, 4, 2]
-
-
 class TestEncodeRecord:
     def test_signature_is_over_raw_bytes(self):
         import zlib as _zlib
@@ -89,79 +59,73 @@ class TestEncodeRecord:
         # stores interoperate without re-writing each other's records.
         assert plain.sig == framed.sig == (len(raw), _zlib.crc32(raw))
         assert plain.raw_len == framed.raw_len == len(raw)
+        assert Record.from_bytes(unwrap_record(framed.stored)).payload \
+            == record.payload
 
 
-class TestEncoderPool:
-    def test_small_sets_encode_inline(self):
-        pool = EncoderPool(workers=4, chunk_records=8)
-        records = value_records(8)  # == one chunk: stays inline
-        chunks = list(pool.encode_stream(records, None))
-        assert not pool.started
-        assert sorted(int(e.oid) for c in chunks for e in c) \
-            == [int(r.oid) for r in records]
+class TestInlineEncode:
+    def test_bulk_stabilize_starts_no_threads(self, tmp_path, registry):
+        with ObjectStore(str(tmp_path / "s"), registry) as store:
+            bulk_people(store)
+            before = set(threading.enumerate())
+            assert store.stabilize() >= BULK
+            assert set(threading.enumerate()) <= before
+            assert store.verify_referential_integrity() == []
 
-    def test_workers_zero_never_starts_threads(self):
-        pool = EncoderPool(workers=0, chunk_records=4)
-        chunks = list(pool.encode_stream(value_records(50), None))
-        assert not pool.started
-        assert sum(len(c) for c in chunks) == 50
+    def test_encode_runs_with_the_commit_lock_released(
+            self, tmp_path, registry, monkeypatch):
+        held = []
 
-    def test_large_sets_use_the_pool_and_cover_every_record(self):
-        pool = EncoderPool(workers=2, chunk_records=4)
-        try:
-            records = value_records(30)
-            chunks = list(pool.encode_stream(records, None))
-            assert pool.started
-            seen = sorted(int(e.oid) for c in chunks for e in c)
-            assert seen == [int(r.oid) for r in records]
-            for chunk in chunks:
-                assert all(isinstance(e, EncodedRecord) for e in chunk)
-        finally:
-            pool.close()
+        def probe(record, codec):
+            held.append(store._commit_lock._is_owned())
+            return encode_record(record, codec)
 
-    def test_pool_restarts_after_close(self):
-        pool = EncoderPool(workers=1, chunk_records=2)
-        list(pool.encode_stream(value_records(10), None))
-        assert pool.started
-        pool.close()
-        assert not pool.started
-        chunks = list(pool.encode_stream(value_records(10), None))
-        assert sum(len(c) for c in chunks) == 10
-        pool.close()
+        monkeypatch.setattr(objectstore_mod, "encode_record", probe)
+        with ObjectStore(str(tmp_path / "s"), registry) as store:
+            bulk_people(store)
+            store.stabilize()
+        assert len(held) > BULK and not any(held)
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="encode_workers"):
-            EncoderPool(workers=-1)
-
-    def test_bad_chunk_records_rejected(self):
-        with pytest.raises(ValueError, match="chunk_records"):
-            EncoderPool(workers=1, chunk_records=0)
+    def test_bulk_restabilize_encodes_and_writes_each_dirty_record_once(
+            self, tmp_path, registry):
+        url = str(tmp_path / "s")
+        with ObjectStore(url, registry) as store:
+            people = bulk_people(store)
+            store.stabilize()
+            encoded = store.encode_count
+            writes = store.engine.record_writes
+            for person in people:
+                person.name += "!"
+            assert store.stabilize() == BULK
+            assert store.encode_count - encoded == BULK
+            assert store.engine.record_writes - writes == BULK
+        with ObjectStore.open(url, registry=registry) as store:
+            assert [p.name for p in store.get_root("people")] \
+                == [p.name for p in people]
 
 
 class TestEncodeFailureAtomicity:
-    """A chunk that raises mid-stream must abort the whole stabilise
+    """A record whose encode raises must abort the whole stabilise
     with no partial bookkeeping — and the next stabilise must succeed."""
 
     @pytest.fixture
     def failing_encode(self, monkeypatch):
-        """Make every second chunk raise, after the first succeeded."""
-        import repro.store.commit.encode as encode_mod
-        real = encode_mod.encode_chunk
+        """Make every second record's encode raise, after the first
+        succeeded."""
         calls = {"n": 0}
 
-        def flaky(chunk, codec):
+        def flaky(record, codec):
             calls["n"] += 1
             if calls["n"] % 2 == 0:
                 raise RuntimeError("injected encode failure")
-            return real(chunk, codec)
+            return encode_record(record, codec)
 
-        monkeypatch.setattr(encode_mod, "encode_chunk", flaky)
+        monkeypatch.setattr(objectstore_mod, "encode_record", flaky)
         return calls
 
     def test_failure_rolls_back_and_next_stabilize_succeeds(
             self, tmp_path, registry, failing_encode, monkeypatch):
-        with ObjectStore(str(tmp_path / "s"), registry,
-                         encode_workers=2) as store:
+        with ObjectStore(str(tmp_path / "s"), registry) as store:
             people = bulk_people(store)
             sigs_before = dict(store._stored_sig)
             shadows_before = set(store._shadow)
@@ -170,7 +134,7 @@ class TestEncodeFailureAtomicity:
             # No signature or shadow from the aborted walk survived.
             assert store._stored_sig == sigs_before
             assert set(store._shadow) == shadows_before
-            # Heal the injection: the pool itself must not be poisoned.
+            # Heal the injection: the store itself must not be poisoned.
             monkeypatch.undo()
             written = store.stabilize()
             assert written >= BULK
@@ -182,8 +146,7 @@ class TestEncodeFailureAtomicity:
 
     def test_failed_stabilize_persists_nothing_new(
             self, tmp_path, registry, failing_encode):
-        with ObjectStore(str(tmp_path / "s"), registry,
-                         encode_workers=2) as store:
+        with ObjectStore(str(tmp_path / "s"), registry) as store:
             stored_before = set(store.engine.oids())
             bulk_people(store)
             with pytest.raises(RuntimeError, match="injected"):
@@ -280,25 +243,3 @@ class TestStabilizePhaseStats:
             assert store.stabilize() == 0
             assert store.stats()["encoded_bytes"] == encoded
             assert store.stats()["weak_rebuilds"] == rebuilds
-
-
-class TestEncodeWorkersConfiguration:
-    def test_workers_zero_store_never_starts_threads(self, tmp_path,
-                                                     registry):
-        with ObjectStore(str(tmp_path / "s"), registry,
-                         encode_workers=0) as store:
-            bulk_people(store)
-            store.stabilize()
-            assert not store._encoder.started
-            assert store.verify_referential_integrity() == []
-
-    def test_parallel_and_serial_stores_read_identically(self, tmp_path,
-                                                         registry):
-        url = str(tmp_path / "s")
-        with ObjectStore(url, registry, encode_workers=4) as store:
-            bulk_people(store)
-            store.stabilize()
-            assert store._encoder.started  # bulk set went through the pool
-        with ObjectStore(url, registry, encode_workers=0) as store:
-            assert len(store.get_root("people")) == BULK
-            assert store.stabilize() == 0

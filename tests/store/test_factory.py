@@ -321,13 +321,12 @@ class TestStoreLevelParameters:
         with pytest.raises(ValueError, match="cache_objects"):
             open_store(f"memory:?cache_objects={value}")
 
-    def test_split_store_url_peels_compress_and_workers(self, tmp_path):
+    def test_split_store_url_peels_compress(self, tmp_path):
         from repro.store.engine.factory import split_store_url
         engine_url, options = split_store_url(
-            f"file:{tmp_path}?compress=zlib:1&durability=group"
-            "&encode_workers=4")
+            f"file:{tmp_path}?compress=zlib:1&durability=group")
         assert engine_url == f"file:{tmp_path}?durability=group"
-        assert options == {"compress": "zlib:1", "encode_workers": 4}
+        assert options == {"compress": "zlib:1"}
 
     def test_engine_factory_refuses_compress(self, tmp_path):
         with pytest.raises(ValueError, match="configure the store"):
@@ -338,18 +337,20 @@ class TestStoreLevelParameters:
         with pytest.raises(ValueError, match="compress"):
             open_store(f"memory:?compress={value}")
 
-    @pytest.mark.parametrize("value", ["-1", "two"])
-    def test_bad_encode_workers_rejected(self, value):
-        with pytest.raises(ValueError, match="encode_workers"):
+    @pytest.mark.parametrize("value", ["2", "-1", "two"])
+    def test_encode_workers_is_an_unknown_key(self, value):
+        # The stabilise encoder pool and its size knob are gone:
+        # encoding runs on the stabilising thread, and no value of the
+        # old key is accepted or validated as a worker count.
+        with pytest.raises(ValueError,
+                           match="unknown query parameter.*encode_workers"):
             open_store(f"memory:?encode_workers={value}")
 
-    def test_open_store_wires_codec_and_workers(self, tmp_path, registry):
-        url = (f"file:{tmp_path / 's'}?compress=zlib:1&encode_workers=0"
-               "&cache_objects=64")
+    def test_open_store_wires_codec(self, tmp_path, registry):
+        url = f"file:{tmp_path / 's'}?compress=zlib:1&cache_objects=64"
         with open_store(url, registry=registry) as store:
             assert store._codec is not None
             assert store._codec.name == "zlib:1"
-            assert store._encoder.workers == 0
             store.set_root("text", ["compressible " * 50])
             store.stabilize()
         # Reopening without ?compress= reads the framed records fine.

@@ -593,11 +593,3 @@ class TestThreadAttribution:
             assert "repro-commit-pipeline" in self._repro_threads()
         finally:
             engine.close()
-
-    def test_encoder_pool_threads_named(self, tmp_path, registry):
-        with ObjectStore.from_url(f"memory:?encode_workers=2",
-                                  registry=registry) as store:
-            store.set_root("people", [Person(f"p{i}") for i in range(80)])
-            store.stabilize()  # > inline threshold: workers spin up
-            assert any(name.startswith("repro-stabilize-encode")
-                       for name in self._repro_threads())

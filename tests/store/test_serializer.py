@@ -20,6 +20,7 @@ from repro.store.serializer import (
     is_inline,
     read_svarint,
     read_uvarint,
+    unwrap_record,
     write_svarint,
     write_uvarint,
 )
@@ -121,6 +122,41 @@ class TestValueEncoding:
     ))
     def test_inline_values_roundtrip_property(self, value):
         assert roundtrip_value(value) == value
+
+
+class TestUntrustedBytes:
+    """Every decoder of stored bytes fails only with its typed error."""
+
+    @pytest.mark.parametrize("decode", [
+        Record.from_bytes,
+        unwrap_record,
+        lambda data: decode_value(data, 0),
+    ], ids=["from_bytes", "unwrap_record", "decode_value"])
+    @given(data=st.binary())
+    def test_arbitrary_bytes_raise_only_deserialization_error(self, decode,
+                                                              data):
+        try:
+            decode(data)
+        except DeserializationError:
+            pass
+
+    def test_invalid_utf8_string(self):
+        data = bytes.fromhex("f8fc8c523e08f7e14f375b2e00556115794780a733")
+        with pytest.raises(DeserializationError):
+            Record.from_bytes(data)
+
+    def test_nesting_deeper_than_the_stack(self):
+        with pytest.raises(DeserializationError):
+            decode_value(b"u\x01" * 5000 + b"N", 0)
+
+    def test_record_nesting_deeper_than_the_stack(self):
+        body = b"\x01" + b"u\x01" * 5000 + b"N"
+        header = bytearray()
+        write_uvarint(header, 1)
+        header += bytes([KIND_LIST]) + b"\x00\x00"
+        write_uvarint(header, len(body))
+        with pytest.raises(DeserializationError):
+            Record.from_bytes(bytes(header) + body)
 
 
 class TestIsInline:
