@@ -70,9 +70,12 @@ def main(argv: list[str] | None = None) -> int:
                         "read it back with scripts/store_trace.py --log)")
     args = parser.parse_args(argv)
 
-    server = StoreServer(args.url, bind=args.listen,
-                         max_frame=args.max_frame,
-                         trace_log=args.trace_log)
+    try:
+        server = StoreServer(args.url, bind=args.listen,
+                             max_frame=args.max_frame,
+                             trace_log=args.trace_log)
+    except ValueError as exc:  # a refused engine URL or bind address
+        parser.error(str(exc))
 
     def _dump(signum=None, frame=None):  # noqa: ARG001 - signal handler
         payload = json.dumps(_dump_payload(server), indent=2,

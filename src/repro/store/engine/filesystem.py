@@ -85,6 +85,19 @@ DEFAULT_CHECKPOINT_WAL_BYTES = 256 * 1024
 DEFAULT_MANIFEST_COMPACT_DELTAS = 1024
 
 
+def _json_int(value: object) -> int:
+    """An integer field of a manifest entry (JSON floats, booleans and
+    strings are corruption, not integers)."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _record_id(value: object) -> RecordId:
+    page_no, slot = value
+    return RecordId(_json_int(page_no), _json_int(slot))
+
+
 def _encode_entry(entry: dict) -> bytes:
     payload = json.dumps(entry, separators=(",", ":")).encode("utf-8")
     return frame_payload(payload)
@@ -97,9 +110,11 @@ class ManifestLog:
     framing as the WAL, via :func:`repro.store.wal.frame_payload`); the
     payload is one JSON object with a ``"kind"`` of ``"base"`` (full
     snapshot) or ``"delta"`` (one batch's metadata changes).  A torn
-    tail (bad length or CRC) ends — and :meth:`load` truncates away —
-    whatever a crash left half-written, so later appends start on a
-    clean frame boundary.
+    tail (short frame, bad CRC or empty frame) ends — and :meth:`load`
+    truncates away — whatever a crash left half-written, so later
+    appends start on a clean frame boundary.  A non-empty CRC-valid
+    frame cannot be a torn write: if its payload does not decode, the
+    log is corrupt.
     """
 
     def __init__(self, path: str):
@@ -125,7 +140,11 @@ class ManifestLog:
             self._file.close()
 
     def load(self) -> list[dict]:
-        """Decode every complete entry; truncate a torn tail."""
+        """Decode every complete entry; truncate a torn tail.
+
+        Raises :class:`CorruptHeapError` for a non-empty CRC-valid
+        frame whose payload is not JSON, leaving the file untouched.
+        """
         self._file.seek(0)
         data = self._file.read()
         entries: list[dict] = []
@@ -133,8 +152,11 @@ class ManifestLog:
         for end, payload in iter_frames(data):
             try:
                 entry = json.loads(payload.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break
+            except (ValueError, RecursionError) as exc:
+                raise CorruptHeapError(
+                    f"manifest {self._path} frame at offset {pos} passed "
+                    f"its CRC but is not JSON: {exc}"
+                ) from None
             entries.append(entry)
             pos = end
         if pos != len(data):
@@ -199,8 +221,14 @@ class FileEngine(StorageEngine):
         self.checkpoints = 0
         self._dirty = False
         self._recovering = False
-        self._load_metadata()
-        self._recover()
+        try:
+            self._load_metadata()
+            self._recover()
+        except BaseException:
+            self._manifest.close()
+            self._heap.close()
+            self._wal.close()
+            raise
 
     # -- lifecycle --------------------------------------------------------
 
@@ -262,22 +290,23 @@ class FileEngine(StorageEngine):
         self._delta_count += 1
 
     def _load_base(self, entry: dict) -> None:
-        self._next_oid = max(int(FIRST_OID), int(entry["next_oid"]))
-        self._roots = {name: Oid(oid)
+        self._next_oid = max(int(FIRST_OID), _json_int(entry["next_oid"]))
+        self._roots = {name: Oid(_json_int(oid))
                        for name, oid in entry["roots"].items()}
-        self._table = {Oid(int(oid)): RecordId(rid[0], rid[1])
+        self._table = {Oid(int(oid)): _record_id(rid)
                        for oid, rid in entry["objects"].items()}
 
     def _load_delta(self, entry: dict) -> None:
         for oid, rid in entry["set"].items():
-            self._table[Oid(int(oid))] = RecordId(rid[0], rid[1])
+            self._table[Oid(int(oid))] = _record_id(rid)
         for oid in entry["del"]:
-            self._table.pop(Oid(int(oid)), None)
+            self._table.pop(Oid(_json_int(oid)), None)
         if entry["roots"] is not None:
-            self._roots = {name: Oid(oid)
+            self._roots = {name: Oid(_json_int(oid))
                            for name, oid in entry["roots"].items()}
         if entry["next_oid"] is not None:
-            self._next_oid = max(self._next_oid, int(entry["next_oid"]))
+            self._next_oid = max(self._next_oid,
+                                 _json_int(entry["next_oid"]))
 
     def _load_metadata(self) -> None:
         entries = self._manifest.load()
@@ -291,13 +320,23 @@ class FileEngine(StorageEngine):
             # remove left the (now stale) snapshot behind; the manifest
             # is authoritative from here on.
             os.remove(legacy)
-        for entry in entries:
-            if entry.get("kind") == "base":
-                self._load_base(entry)
-                self._delta_count = 0
-            else:
-                self._load_delta(entry)
-                self._delta_count += 1
+        for index, entry in enumerate(entries):
+            try:
+                kind = entry["kind"]
+                if kind == "base":
+                    self._load_base(entry)
+                    self._delta_count = 0
+                elif kind == "delta":
+                    self._load_delta(entry)
+                    self._delta_count += 1
+                else:
+                    raise ValueError(f"unknown entry kind {kind!r}")
+            except (LookupError, TypeError, ValueError,
+                    AttributeError) as exc:
+                raise CorruptHeapError(
+                    f"manifest {self._manifest.path} entry {index} is "
+                    f"malformed: {exc!r}"
+                ) from None
 
     def _migrate_legacy_snapshot(self, path: str) -> None:
         """Read a format-1/2 ``store.meta`` snapshot and re-home it as

@@ -227,6 +227,13 @@ class FrameStream:
 
 # -- body encoding ----------------------------------------------------------
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireProtocolError(f"{what} is not UTF-8: {exc}") from None
+
+
 def pack_oid(oid: int) -> bytes:
     buf = bytearray()
     write_uvarint(buf, int(oid))
@@ -301,7 +308,7 @@ def unpack_roots(body: bytes, pos: int = 0) -> tuple[dict, int]:
         length, pos = read_uvarint(body, pos)
         if pos + length > len(body):
             raise WireProtocolError("root name overruns its frame")
-        name = body[pos:pos + length].decode("utf-8")
+        name = _utf8(body[pos:pos + length], "root name")
         pos += length
         oid, pos = read_uvarint(body, pos)
         roots[name] = Oid(oid)
@@ -336,7 +343,7 @@ def pack_stats(stats: dict) -> bytes:
 def unpack_stats(body: bytes) -> dict:
     try:
         return json.loads(body.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise WireProtocolError(f"malformed stats body: {exc}") from exc
 
 
@@ -356,6 +363,6 @@ def unpack_error(body: bytes) -> tuple[str, str]:
     length, pos = read_uvarint(body, 0)
     if pos + length > len(body):
         raise WireProtocolError("error frame overruns its payload")
-    kind = body[pos:pos + length].decode("utf-8")
+    kind = _utf8(body[pos:pos + length], "error type name")
     message = body[pos + length:].decode("utf-8", "replace")
     return kind, message

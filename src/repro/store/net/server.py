@@ -114,8 +114,7 @@ class StoreServer:
         """Time the engine through the server's registry and surface its
         native counters as pull gauges (re-run on ``reset``: gauge
         callbacks re-bind to the fresh engine)."""
-        if not isinstance(engine, TimedEngine):
-            engine = TimedEngine(engine, self.metrics)
+        engine = TimedEngine(engine, self.metrics)
         bind_engine_metrics(engine, self.metrics)
         return engine
 

@@ -155,16 +155,11 @@ class ObjectStore:
         # ``MetricsRegistry`` shares one registry across stores.
         if isinstance(metrics, MetricsRegistry):
             self._metrics = metrics
-        elif isinstance(engine, TimedEngine) and metrics:
-            # An engine the factory already instrumented: the store
-            # joins its registry instead of keeping a second one.
-            self._metrics = engine.metrics
         else:
             self._metrics = MetricsRegistry(enabled=bool(metrics))
         if self._metrics.enabled or slow_op_ms is not None:
-            if not isinstance(engine, TimedEngine):
-                engine = TimedEngine(engine, self._metrics,
-                                     slow_op_ms=slow_op_ms)
+            engine = TimedEngine(engine, self._metrics,
+                                 slow_op_ms=slow_op_ms)
             bind_engine_metrics(engine, self._metrics)
         # The span tracer.  Default-off: with ``trace_sample=0`` (or
         # unset), no slow-trace threshold and no sink, ``root()``

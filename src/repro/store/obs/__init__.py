@@ -19,6 +19,8 @@ Three small pieces, threaded through every storage layer:
 them off; a disabled registry hands out shared no-op instruments, so
 the hot paths pay nothing).  ``?slow_op_ms=N`` adds a structured
 ``logging`` line per engine operation slower than N milliseconds.
+These are store-level keys: ``engine_from_url`` rejects them and never
+returns a ``TimedEngine``.
 ``?trace_sample=N`` samples 1 in N store ops into a span tree,
 ``?slow_trace_ms=F`` always keeps traces slower than F milliseconds,
 and ``?trace_log=PATH`` makes captured spans durable as JSONL.

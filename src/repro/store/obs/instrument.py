@@ -5,9 +5,9 @@ native-counter binder.
 and records one ``engine_op_ns{engine=...,op=...}`` histogram
 observation per contract operation — the per-op latency distribution
 every layer above (the store server's STATS_FULL, the router's load
-table, ``store_top``) reads.  It is installed by
-``open_store`` (``?metrics=1``, the default) or by
-``engine_from_url`` when a URL names ``metrics=1`` explicitly, and
+table, ``store_top``) reads.  Two owners install it, each over its
+own registry: the ``ObjectStore`` (telemetry is on by default;
+``?metrics=0`` turns it off) and the ``StoreServer``.  It
 forwards everything else to the child, so engine-specific surface
 (``children``, ``pipeline``, ``reserve_oids`` …) keeps working through
 the wrapper.

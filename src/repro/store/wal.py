@@ -13,8 +13,8 @@ classic checkpoint + log discipline:
   any point yields either the old or the new state, never a mixture.
 
 Each log entry is framed as ``u32 length | u32 crc32 | payload`` and the
-payload starts with a one-byte entry type.  A torn tail (bad length or CRC)
-ends replay — exactly the entries up to the last fsynced commit survive.
+payload starts with a one-byte entry type.  A torn tail (bad length or CRC,
+or an empty frame) ends replay — exactly the entries up to the last fsynced commit survive.
 """
 
 from __future__ import annotations
@@ -51,14 +51,21 @@ def frame_payload(payload: bytes) -> bytes:
 
 def iter_frames(data: bytes) -> Iterator[tuple[int, bytes]]:
     """Yield ``(end_offset, payload)`` for every complete, CRC-valid
-    frame; a torn tail (short frame or bad CRC) ends iteration — the
-    caller's last ``end_offset`` is the clean truncation point."""
+    frame; a torn tail (short frame, bad CRC or empty frame) ends
+    iteration — the caller's last ``end_offset`` is the clean
+    truncation point.
+
+    An empty frame is torn, not data: neither log writes an empty
+    payload, and a crash can leave a file extended with zero-filled
+    blocks, which read as empty frames whose CRC (``crc32(b"") == 0``)
+    checks out.
+    """
     pos = 0
     while pos + _FRAME.size <= len(data):
         length, crc = _FRAME.unpack_from(data, pos)
         start = pos + _FRAME.size
         end = start + length
-        if end > len(data):
+        if length == 0 or end > len(data):
             return
         payload = data[start:end]
         if zlib.crc32(payload) != crc:

@@ -5,6 +5,8 @@ and applications choose among the file, memory, sqlite and sharded
 backends without constructing engine objects by hand."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -228,9 +230,9 @@ class TestQueryParameters:
 
 
 class TestSchemeRegistry:
-    """The scheme registry behind the factory: every backend —
-    built-in or network — registers through one table, and unknown
-    schemes fail loudly with the full menu."""
+    """The scheme table behind the factory: every backend — built-in
+    or network — is one row of it, and unknown schemes fail loudly
+    with the full menu."""
 
     def test_unknown_scheme_error_lists_every_registered_scheme(self):
         with pytest.raises(ValueError) as excinfo:
@@ -240,34 +242,6 @@ class TestSchemeRegistry:
         for scheme in ("memory", "file", "sqlite", "sharded",
                        "remote", "routed"):
             assert scheme in message
-
-    def test_registered_schemes_cover_all_backends(self):
-        from repro.store.engine.factory import registered_schemes
-        assert set(registered_schemes()) >= {
-            "memory", "file", "sqlite", "sharded", "remote", "routed"}
-
-    @pytest.mark.parametrize("name", ["", "x", "no1", "has-dash"])
-    def test_register_scheme_rejects_bad_names(self, name):
-        from repro.store.engine.factory import register_scheme
-        with pytest.raises(ValueError, match="alphabetic"):
-            register_scheme(name, (), lambda rest, params: None)
-
-    def test_out_of_tree_scheme_plugs_in(self):
-        from repro.store.engine import factory
-
-        def build(rest, params):
-            return MemoryEngine()
-
-        register = factory.register_scheme
-        register("loopback", (), build)
-        try:
-            with engine_from_url("loopback:") as engine:
-                assert isinstance(engine, MemoryEngine)
-            assert "loopback" in factory.registered_schemes()
-        finally:
-            factory._SCHEME_REGISTRY.pop("loopback", None)
-            factory.SCHEMES = tuple(s for s in factory.SCHEMES
-                                    if s != "loopback")
 
     @pytest.mark.parametrize("bad_url, match", [
         ("remote:", "HOST:PORT or unix:PATH"),
@@ -408,3 +382,24 @@ class TestOpenStore:
             store.stabilize()
         with ObjectStore.open(directory, registry=registry) as store:
             assert store.get_root("n") == [4, 5]
+
+
+class TestKeyTableMatchesDocs:
+    """``docs/architecture.md`` lists every URL key with its layer; the
+    list must track the factory's key table."""
+
+    #: Table layer -> the "applies to" wording the docs use for it.
+    _DOC_LAYER = {"pipeline": "any", "remote": "remote/routed"}
+
+    def _documented_keys(self) -> dict[str, str]:
+        doc = (Path(__file__).parents[2] / "docs"
+               / "architecture.md").read_text(encoding="utf-8")
+        section = doc.split("## Storage URLs", 1)[1].split("\n## ", 1)[0]
+        return dict(re.findall(r"^\| `([a-z_]+)` +\| ([a-z/]+) +\|",
+                               section, re.MULTILINE))
+
+    def test_same_keys_and_layers(self):
+        from repro.store.engine.factory import _KEYS
+        expected = {key: self._DOC_LAYER.get(spec.layer, spec.layer)
+                    for key, spec in _KEYS.items()}
+        assert self._documented_keys() == expected

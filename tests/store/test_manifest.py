@@ -4,9 +4,12 @@ migration, and durability-policy × crash coverage."""
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import CorruptHeapError
 from repro.store import open_store
 from repro.store.commit import AsyncPolicy, GroupPolicy, PipelinedEngine
 from repro.store.engine import FileEngine, WriteBatch
@@ -16,6 +19,7 @@ from repro.store.engine.filesystem import (
     ManifestLog,
 )
 from repro.store.oids import Oid
+from repro.store.wal import frame_payload, iter_frames
 
 from tests.conftest import Person
 
@@ -75,6 +79,122 @@ class TestManifestLog:
         entries = log.load()
         assert [entry["kind"] for entry in entries] == ["base"]
         log.close()
+
+
+def closed_store(directory) -> str:
+    """A cleanly closed one-object file store; returns its manifest."""
+    with FileEngine(str(directory)) as engine:
+        engine.apply(batch_for(1).set_roots({"r": Oid(1)})
+                     .advance_next_oid(5))
+    return manifest_path(directory)
+
+
+def append_frames(path: str, *payloads: bytes) -> None:
+    with open(path, "ab") as fh:
+        for payload in payloads:
+            fh.write(frame_payload(payload))
+
+
+#: JSON values of every shape, for entries with the right kind but
+#: arbitrary fields.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+json_entries = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["base", "delta", "other"])},
+    optional={field: json_values
+              for field in ("set", "del", "roots", "next_oid", "objects")},
+).map(lambda entry: json.dumps(entry).encode("utf-8"))
+
+
+class TestManifestDecoding:
+    """A CRC-valid manifest frame is never a torn write: whatever it
+    holds, opening the engine either succeeds or raises
+    :class:`CorruptHeapError`."""
+
+    @pytest.mark.parametrize("payload", [
+        b"[]",
+        b"7",
+        b'{"kind":"delta"}',
+        b'{"kind":"base","next_oid":"x"}',
+    ])
+    def test_malformed_entry_is_corruption(self, tmp_path, payload):
+        path = closed_store(tmp_path / "s")
+        append_frames(path, payload)
+        with pytest.raises(CorruptHeapError, match="malformed"):
+            FileEngine(str(tmp_path / "s"))
+
+    def test_failed_open_closes_its_files(self, tmp_path, monkeypatch):
+        from repro.store.heap import HeapFile
+        from repro.store.wal import WriteAheadLog
+
+        closed = []
+        for cls in (HeapFile, WriteAheadLog, ManifestLog):
+            def spy(self, _close=cls.close, _name=cls.__name__):
+                closed.append(_name)
+                _close(self)
+            monkeypatch.setattr(cls, "close", spy)
+        append_frames(closed_store(tmp_path / "s"), b"7")
+        closed.clear()
+        with pytest.raises(CorruptHeapError):
+            FileEngine(str(tmp_path / "s"))
+        assert sorted(closed) == ["HeapFile", "ManifestLog", "WriteAheadLog"]
+
+    def test_non_json_frame_is_corruption_not_a_torn_tail(self, tmp_path):
+        path = closed_store(tmp_path / "s")
+        later = {"kind": "delta", "set": {}, "del": [],
+                 "roots": {"r": 7}, "next_oid": 99}
+        append_frames(path, b"\xffnot json",
+                      json.dumps(later).encode("utf-8"))
+        size = os.path.getsize(path)
+        with pytest.raises(CorruptHeapError, match="not JSON"):
+            FileEngine(str(tmp_path / "s"))
+        # Nothing was truncated: the later valid delta is still there.
+        assert os.path.getsize(path) == size
+
+    def test_zero_filled_tail_is_torn_and_rebuilt_from_the_wal(
+            self, tmp_path):
+        """A crash can leave the manifest extended with zero-filled
+        blocks (deltas are appended without an fsync).  Those read as
+        empty CRC-valid frames; they are a torn tail, truncated on open,
+        and the WAL rebuilds the batch whose delta they replaced."""
+        directory = tmp_path / "s"
+        path = closed_store(directory)
+        engine = FileEngine(str(directory))
+        engine.log_batch(batch_for(2, b"new").set_roots({"r": Oid(2)})
+                         .advance_next_oid(9))
+        crash(engine)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 16)
+        with FileEngine(str(directory)) as reopened:
+            assert reopened.read(Oid(1)) == b"x"
+            assert reopened.read(Oid(2)) == b"new"
+            assert reopened.roots() == {"r": Oid(2)}
+            assert reopened.next_oid == 9
+        # The zeros are gone: the file is whole frames end to end.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert [end for end, _ in iter_frames(data)][-1] == len(data)
+
+    @given(st.binary())
+    def test_iter_frames_never_raises(self, data):
+        ends = [end for end, _ in iter_frames(data)]
+        assert ends == sorted(ends)
+        assert all(0 < end <= len(data) for end in ends)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary() | json_entries)
+    def test_arbitrary_valid_frame_opens_or_is_corruption(self, payload):
+        with tempfile.TemporaryDirectory() as directory:
+            append_frames(closed_store(directory), payload)
+            try:
+                engine = FileEngine(directory)
+            except CorruptHeapError:
+                return
+            engine.close()
 
 
 class TestCrashBetweenPhases:

@@ -19,8 +19,10 @@ import threading
 import zlib
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import (
+    DeserializationError,
     RemoteDisconnectedError,
     UnknownOidError,
     WireProtocolError,
@@ -157,6 +159,25 @@ class TestBodyEncodings:
     def test_malformed_stats_rejected(self):
         with pytest.raises(WireProtocolError):
             wire.unpack_stats(b"\xff{not json")
+
+    @pytest.mark.parametrize("unpack, body", [
+        (wire.unpack_roots, b"\x01\x01\xff\x00"),
+        (wire.unpack_error, b"\x01\xffmessage"),
+    ])
+    def test_non_utf8_text_rejected(self, unpack, body):
+        with pytest.raises(WireProtocolError, match="not UTF-8"):
+            unpack(body)
+
+    @given(st.binary())
+    def test_body_decoders_fail_only_with_typed_errors(self, body):
+        for unpack in (wire.unpack_oid, wire.unpack_oids,
+                       wire.unpack_records, wire.unpack_roots,
+                       wire.unpack_trace_envelope, wire.unpack_stats,
+                       wire.unpack_error):
+            try:
+                unpack(body)
+            except (WireProtocolError, DeserializationError):
+                pass
 
 
 # ---------------------------------------------------------------------------

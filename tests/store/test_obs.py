@@ -8,8 +8,9 @@ Covers the guarantees the telemetry layer actually promises:
   racing stabilises count exactly N;
 * zero-overhead when disabled — a disabled registry hands out one
   shared null instrument and the store leaves its engine unwrapped;
-* the factory's ``?metrics=1``/``?slow_op_ms=`` wrapping (and that bare
-  URLs stay bare, which ``test_factory.py`` asserts type-by-type);
+* ``metrics``/``slow_op_ms`` as store-level keys only: the engine
+  factory and the store server refuse them, so each ``TimedEngine``
+  records into its owner's registry;
 * ``STATS_FULL`` against a live store-server subprocess, including the
   ``TRACE`` envelope carrying a client trace id into server spans.
 """
@@ -190,8 +191,8 @@ class TestRegistry:
 class TestTimedEngine:
     def test_ops_land_in_per_op_histograms(self, registry):
         reg = MetricsRegistry()
-        engine = TimedEngine(MemoryEngine(), reg)
-        store = ObjectStore(engine=engine, registry=registry, metrics=reg)
+        store = ObjectStore(engine=MemoryEngine(), registry=registry,
+                            metrics=reg)
         store.set_root("p", Person("Ada"))
         store.stabilize()
         assert store.get_root("p").name == "Ada"
@@ -202,6 +203,23 @@ class TestTimedEngine:
         assert applies >= 1
         assert hists["engine_op_ns{engine=memory,op=roots}"]["count"] >= 1
         store.close()
+
+    def test_hand_wrapped_engine_ops_reach_the_store_registry(
+            self, registry):
+        # The store times whatever engine it is given through its own
+        # registry, so a caller's TimedEngine cannot split the
+        # engine histograms away from store.metrics().
+        outer = MetricsRegistry()
+        engine = TimedEngine(MemoryEngine(), outer)
+        store = ObjectStore(engine=engine, registry=registry)
+        try:
+            store.set_root("p", Person("Ada"))
+            store.stabilize()
+            hists = store.metrics()["histograms"]
+            assert sum(hist["count"] for key, hist in hists.items()
+                       if key.startswith("engine_op_ns")) >= 1
+        finally:
+            store.close()
 
     def test_slow_op_log_fires_above_threshold(self, caplog):
         # A nanosecond-scale threshold: every op is "slow".
@@ -218,8 +236,7 @@ class TestTimedEngine:
             TimedEngine(MemoryEngine(), slow_op_ms=0)
 
     def test_wrapper_forwards_engine_specific_surface(self):
-        engine = engine_from_url("sharded:2:memory:?metrics=1")
-        assert isinstance(engine, TimedEngine)
+        engine = TimedEngine(engine_from_url("sharded:2:memory:"))
         assert engine.name == "sharded"
         assert len(engine.children) == 2        # via __getattr__
         assert engine.wrapped is not engine
@@ -236,13 +253,12 @@ class TestFactoryWiring:
         with engine_from_url("memory:") as engine:
             assert isinstance(engine, MemoryEngine)
 
-    def test_metrics_param_wraps(self):
-        with engine_from_url("memory:?metrics=1") as engine:
-            assert isinstance(engine, TimedEngine)
-
-    def test_slow_op_param_wraps(self):
-        with engine_from_url("memory:?slow_op_ms=5") as engine:
-            assert isinstance(engine, TimedEngine)
+    @pytest.mark.parametrize("query", ["metrics=1", "metrics=0",
+                                       "slow_op_ms=5"])
+    def test_telemetry_keys_rejected_by_engine_factory(self, query):
+        key = query.partition("=")[0]
+        with pytest.raises(ValueError, match=f"'{key}'.*configure the store"):
+            engine_from_url(f"memory:?{query}")
 
     def test_split_store_url_peels_obs_keys(self):
         url, options = split_store_url("memory:?metrics=0&cache_objects=8")
@@ -250,9 +266,9 @@ class TestFactoryWiring:
         assert options["cache_objects"] == 8
         assert "metrics" not in url
 
-    def test_store_adopts_factory_registry(self, registry):
-        # open_store over an instrumented engine: one shared registry,
-        # store counters and engine histograms in one snapshot.
+    def test_store_registry_holds_engine_histograms(self, registry):
+        # The store owns the one registry: store counters and its
+        # TimedEngine's histograms land in one snapshot.
         store = ObjectStore.from_url("memory:?metrics=1", registry)
         try:
             store.set_root("p", Person("Ada"))
@@ -263,6 +279,37 @@ class TestFactoryWiring:
                        for k in snap["histograms"])
         finally:
             store.close()
+
+
+class TestServerTelemetry:
+    @pytest.mark.parametrize("query", ["metrics=1", "slow_op_ms=5"])
+    def test_telemetry_keys_rejected_before_binding(self, query, monkeypatch):
+        from repro.store.net import StoreServer
+
+        def no_bind(bind):
+            raise AssertionError("bound a socket for a rejected URL")
+
+        monkeypatch.setattr(StoreServer, "_bind", staticmethod(no_bind))
+        key = query.partition("=")[0]
+        with pytest.raises(ValueError, match=key):
+            StoreServer(f"memory:?{query}")
+
+    def test_engine_ops_land_in_server_registry(self):
+        from repro.store.engine.base import WriteBatch
+        from repro.store.net import RemoteEngine, StoreServer
+
+        with StoreServer("memory:") as server:
+            server.start()
+            client = RemoteEngine(server.endpoint)
+            try:
+                client.apply(WriteBatch().write(1, b"x"))
+                assert client.contains(1)
+            finally:
+                client.close()
+            hists = server.metrics.snapshot()["histograms"]
+        assert hists["engine_op_ns{engine=memory,op=contains}"]["count"] >= 1
+        assert sum(hist["count"] for name, hist in hists.items()
+                   if name.startswith("engine_op_ns")) >= 2
 
 
 # ---------------------------------------------------------------------------

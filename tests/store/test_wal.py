@@ -108,6 +108,18 @@ class TestTornTail:
         assert len(batches) == 1
         assert batches[0][0].data == b"safe"
 
+    def test_zero_filled_tail_ends_replay(self, tmp_path):
+        # Zeros read as empty frames with a matching CRC; no entry is
+        # empty, so they are a torn tail, not an undecodable entry.
+        path = str(tmp_path / "zeros.wal")
+        self._write_committed(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 16)
+        with WriteAheadLog(path) as log:
+            batches = log.committed_batches()
+        assert len(batches) == 1
+        assert batches[0][0].data == b"safe"
+
     def test_corrupt_crc_ends_replay(self, tmp_path):
         path = str(tmp_path / "crc.wal")
         self._write_committed(path)
