@@ -80,6 +80,8 @@ from repro.store.serializer import (
     encode_record,
     parse_codec,
     record_refs,
+    snapshot_record,
+    snapshot_refs,
     snapshots_equal,
     unwrap_record,
 )
@@ -204,6 +206,11 @@ class ObjectStore:
         #: stale reads.
         self._epoch = 0
         self._roots: dict[str, Oid] = engine.roots()
+        #: The root table this store last handed the engine (``None``
+        #: after a failed commit: resubmit).  The commit phase compares
+        #: against it rather than ``engine.roots()``, which over a
+        #: pipelined engine waits for a group commit's fsync.
+        self._submitted_roots: Optional[dict[str, Oid]] = dict(self._roots)
         #: oid -> (len, crc) of the stored record bytes *before* codec
         #: framing — signatures are always over raw record bytes, so a
         #: store reopened under a different ``compress=`` setting keeps
@@ -454,13 +461,21 @@ class ObjectStore:
         """The OID of a live object, or ``None`` if it has none yet."""
         return self._identity.oid_for(obj)
 
-    def _ensure_oid(self, obj: Any) -> Oid:
+    def _ensure_oid(self, obj: Any,
+                    snaps: Optional[dict[int, Any]] = None) -> Oid:
+        """The OID of ``obj``, allocating one if it has none yet.
+
+        A walk passes ``snaps`` to keep the snapshot that validated a
+        newly reached object, so the walk reads its state only once.
+        """
         oid = self._identity.oid_for(obj)
         if oid is None:
             if type(obj) is not PersistentWeakRef:
                 # Validate up front that the object is storable at all, so
                 # errors surface at set_root time rather than at stabilise.
-                self._serializer.references_of(obj)
+                snap = self._serializer.snapshot(obj)
+                if snaps is not None:
+                    snaps[id(obj)] = snap
             with self._serve_lock.write_locked():
                 oid = self._identity.oid_for(obj)
                 if oid is None:
@@ -766,8 +781,9 @@ class ObjectStore:
         read path's plan-outside-the-lock shape):
 
         1. *Walk* — under the commit lock: reachability, dirty detection
-           and flattening (OID assignment needs the identity map), which
-           yields the dirty ``(oid, record)`` set and fresh shadows.
+           and flattening (OID assignment needs the identity map), all
+           from one snapshot per live node, which yields the dirty
+           ``(oid, record)`` set and fresh shadows.
         2. *Encode* — no lock held, on the calling thread: each dirty
            record runs ``to_bytes()`` + crc signature + optional
            per-record compression into the write batch.  Other threads
@@ -895,11 +911,13 @@ class ObjectStore:
                 if item.sig != self._stored_sig.get(item.oid):
                     batch.write(item.oid, item.stored)
                 claimed.append((item, pending is not None))
-            # Roots and the allocator cursor are compared against the
-            # engine *here*, not at walk time: a concurrent stabilise
-            # may have committed newer values since our walk.
-            if self._roots != self._engine.roots():
-                batch.set_roots(self._roots)
+            # Roots and the allocator cursor are compared *here*, not
+            # at walk time: a concurrent stabilise may have submitted
+            # newer values since our walk.
+            roots = None
+            if self._roots != self._submitted_roots:
+                roots = dict(self._roots)
+                batch.set_roots(roots)
             if int(self._allocator.next_oid) != self._engine.next_oid:
                 batch.advance_next_oid(int(self._allocator.next_oid))
             counters = self._phase_counters
@@ -917,6 +935,8 @@ class ObjectStore:
             if not batch.is_empty:
                 ticket = self._engine.apply_async(batch)
                 self.last_commit = ticket
+                if roots is not None:
+                    self._submitted_roots = roots
                 if not self._engine.asynchronous:
                     self._in_flight[seq] = ticket
             # Bookkeeping is committed optimistically under the lock (the
@@ -951,7 +971,9 @@ class ObjectStore:
         """Undo one failed commit's optimistic bookkeeping (caller holds
         the commit lock).  Sequence-guarded: an OID a later commit
         installed belongs to that stabilise now — its bookkeeping
-        stands."""
+        stands.  The submitted root table is forgotten either way, so
+        the next stabilise resubmits the roots."""
+        self._submitted_roots = None
         for oid, (sig, snap, target) in rollback.items():
             if self._commit_seq.get(oid) != seq:
                 continue
@@ -1000,6 +1022,14 @@ class ObjectStore:
 
         seen_ids: set[int] = set()
         weakrefs: list[tuple[Oid, PersistentWeakRef]] = []
+        snapshot = self._serializer.snapshot
+        # Snapshots that validated objects first reached by this walk.
+        # Each object is walked after the record that reached it, and
+        # parents' snapshots keep it alive, so its id stays its own.
+        new_snaps: dict[int, Any] = {}
+
+        def ref_oid(child: Any) -> Oid:
+            return self._ensure_oid(child, new_snaps)
 
         def walk_live(start: Any) -> None:
             pending = [start]
@@ -1013,19 +1043,17 @@ class ObjectStore:
                 if isinstance(obj, PersistentWeakRef):
                     weakrefs.append((oid, obj))
                     continue
-                pending.extend(self._serializer.references_of(obj))
-                old = self._shadow.get(oid)
-                if old is not None:
-                    snap = self._serializer.snapshot(obj)
-                    if snapshots_equal(old, snap):
-                        continue  # clean: stored record still current
+                # The one read of the object's state: its references,
+                # the dirty test and its record all come from this
+                # snapshot, which becomes the shadow once committed.
+                snap = new_snaps.pop(id(obj), None)
+                if snap is None:
+                    snap = snapshot(obj)
+                if not snapshots_equal(self._shadow.get(oid), snap):
                     fresh_shadows[oid] = snap
-                else:
-                    fresh_shadows[oid] = self._serializer.snapshot(obj)
-                self.encode_count += 1
-                records[oid] = self._serializer.encode_object(
-                    oid, obj, self._ensure_oid
-                )
+                    self.encode_count += 1
+                    records[oid] = snapshot_record(oid, snap, ref_oid)
+                pending.extend(snapshot_refs(snap))
 
         while live_worklist:
             walk_live(live_worklist.pop())

@@ -130,7 +130,11 @@ def read_svarint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _write_str(buf: bytearray, text: str) -> None:
-    raw = text.encode("utf-8")
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SerializationError(
+            f"string cannot be stored as UTF-8: {exc}") from None
     write_uvarint(buf, len(raw))
     buf.extend(raw)
 
@@ -599,10 +603,13 @@ def encode_record(record: Record,
 # Object <-> Record
 # ---------------------------------------------------------------------------
 
+#: Exact types :func:`encode_value` writes as a single tagged scalar.
+_ATOMS = frozenset((type(None), bool, int, float, complex, str, bytes))
+
+
 def is_inline(value: Any) -> bool:
     """True when a value is inlined rather than given its own record."""
-    return type(value) in (type(None), bool, int, float, complex, str, bytes,
-                           tuple, frozenset)
+    return type(value) in _ATOMS or type(value) in (tuple, frozenset)
 
 
 def record_refs(record: "Record", include_weak: bool = True) -> list[Oid]:
@@ -690,6 +697,73 @@ def snapshots_equal(old: Any, new: Any) -> bool:
     return all(map(_values_equal, a, b))
 
 
+# ---------------------------------------------------------------------------
+# Snapshot -> references and record
+# ---------------------------------------------------------------------------
+#
+# A stabilise reads each live object's state once, as a snapshot, and
+# derives everything else from it: the storable nodes it references (the
+# walk's edges) and, when the dirty test fails, its record.  The record's
+# payload maps each value exactly as :func:`encode_value` dispatches on it,
+# so the record encodes to the very bytes a direct encode would give.
+
+_SNAPSHOT_KINDS = {"list": KIND_LIST, "set": KIND_SET, "dict": KIND_DICT}
+
+
+def _payload_value(value: Any, ref_fn: Callable[[Any], Oid]) -> Any:
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is tuple:
+        return tuple([_payload_value(item, ref_fn) for item in value])
+    if kind is frozenset:
+        return frozenset([_payload_value(item, ref_fn) for item in value])
+    return Ref(ref_fn(value))
+
+
+def _collect_refs(values: Any, refs: list[Any]) -> None:
+    for value in values:
+        kind = type(value)
+        if kind is tuple or kind is frozenset:
+            _collect_refs(value, refs)
+        elif kind not in _ATOMS:
+            refs.append(value)
+
+
+def snapshot_refs(snap: Any) -> list[Any]:
+    """Every storable node a :meth:`Serializer.snapshot` capture
+    references directly, in payload order (dict keys before their
+    values)."""
+    kind = snap[0]
+    if kind == "bytearray":
+        return []
+    refs: list[Any] = []
+    # Dict captures hold (key, value) pairs, which recurse like tuples.
+    _collect_refs(snap[2].values() if kind == "instance" else snap[1], refs)
+    return refs
+
+
+def snapshot_record(oid: Oid, snap: Any,
+                    ref_fn: Callable[[Any], Oid]) -> Record:
+    """The :class:`Record` for the state a :meth:`Serializer.snapshot`
+    captured.  ``ref_fn`` maps every referenced storable node to its OID
+    and is called in payload order."""
+    kind = snap[0]
+    if kind == "instance":
+        _, fingerprint, fields, class_name = snap
+        return Record(oid, KIND_INSTANCE, class_name, fingerprint,
+                      {name: _payload_value(value, ref_fn)
+                       for name, value in fields.items()})
+    if kind == "bytearray":
+        return Record(oid, KIND_BYTEARRAY, "", "", snap[1])
+    if kind == "dict":
+        payload = [(_payload_value(key, ref_fn), _payload_value(value, ref_fn))
+                   for key, value in snap[1]]
+    else:
+        payload = [_payload_value(value, ref_fn) for value in snap[1]]
+    return Record(oid, _SNAPSHOT_KINDS[kind], "", "", payload)
+
+
 class Serializer:
     """Flattens storable nodes to :class:`Record` and rebuilds them.
 
@@ -711,29 +785,11 @@ class Serializer:
         """
         from repro.store.weakrefs import PersistentWeakRef
 
-        def as_ref(value: Any) -> Any:
-            buf = bytearray()
-            encode_value(buf, value, ref_fn)
-            decoded, _ = decode_value(bytes(buf), 0)
-            return decoded
-
         if isinstance(obj, PersistentWeakRef):
             target = obj.get()
             payload = Ref(ref_fn(target)) if target is not None else None
             return Record(oid, KIND_WEAKREF, "", "", payload)
-        if type(obj) is list:
-            return Record(oid, KIND_LIST, "", "", [as_ref(v) for v in obj])
-        if type(obj) is set:
-            return Record(oid, KIND_SET, "", "", [as_ref(v) for v in obj])
-        if type(obj) is dict:
-            pairs = [(as_ref(k), as_ref(v)) for k, v in obj.items()]
-            return Record(oid, KIND_DICT, "", "", pairs)
-        if type(obj) is bytearray:
-            return Record(oid, KIND_BYTEARRAY, "", "", bytes(obj))
-        entry = self._registry.entry_for_class(type(obj))
-        fields = self._instance_fields(obj, entry)
-        payload = {name: as_ref(value) for name, value in fields.items()}
-        return Record(oid, KIND_INSTANCE, entry.name, entry.fingerprint, payload)
+        return snapshot_record(oid, self.snapshot(obj), ref_fn)
 
     @staticmethod
     def _instance_fields(obj: Any, entry: RegisteredClass) -> dict[str, Any]:
@@ -773,41 +829,7 @@ class Serializer:
             return ("bytearray", bytes(obj))
         entry = self._registry.entry_for_class(type(obj))
         return ("instance", entry.fingerprint,
-                self._instance_fields(obj, entry))
-
-    def references_of(self, obj: Any) -> list[Any]:
-        """Every storable node directly referenced by ``obj`` (for traversal).
-
-        Weak-reference targets are deliberately *excluded* — they do not
-        keep their target alive (paper Figure 7).
-        """
-        from repro.store.weakrefs import PersistentWeakRef
-
-        refs: list[Any] = []
-
-        def visit(value: Any) -> None:
-            if type(value) in (tuple, frozenset):
-                for item in value:
-                    visit(item)
-            elif not is_inline(value):
-                refs.append(value)
-
-        if isinstance(obj, PersistentWeakRef):
-            return []
-        if type(obj) is list or type(obj) is set:
-            for value in obj:
-                visit(value)
-        elif type(obj) is dict:
-            for key, value in obj.items():
-                visit(key)
-                visit(value)
-        elif type(obj) is bytearray:
-            pass
-        else:
-            entry = self._registry.entry_for_class(type(obj))
-            for value in self._instance_fields(obj, entry).values():
-                visit(value)
-        return refs
+                self._instance_fields(obj, entry), entry.name)
 
     # -- decoding -------------------------------------------------------
 

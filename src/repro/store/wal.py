@@ -99,6 +99,10 @@ class LogEntry:
 
     @classmethod
     def decode(cls, payload: bytes) -> "LogEntry":
+        """Decode one entry; an unknown kind or a root name running past
+        the payload raises :class:`CorruptHeapError` (short fixed fields
+        raise ``struct.error``, which the log reader reports the same
+        way)."""
         kind = payload[0:1]
         txn_id = struct.unpack_from("<Q", payload, 1)[0]
         pos = 9
@@ -107,9 +111,16 @@ class LogEntry:
             return cls(kind, txn_id, Oid(oid), payload[pos + 8:])
         if kind in (ENTRY_ROOT, ENTRY_UNROOT):
             oid, name_len = struct.unpack_from("<QI", payload, pos)
-            name = payload[pos + 12:pos + 12 + name_len].decode("utf-8")
+            end = pos + 12 + name_len
+            if end > len(payload):
+                raise CorruptHeapError(
+                    f"root name of {name_len} bytes overruns its "
+                    f"{len(payload)}-byte log entry")
+            name = payload[pos + 12:end].decode("utf-8")
             return cls(kind, txn_id, Oid(oid), b"", name)
-        return cls(kind, txn_id)
+        if kind in (ENTRY_BEGIN, ENTRY_COMMIT):
+            return cls(kind, txn_id)
+        raise CorruptHeapError(f"unknown log entry kind {kind!r}")
 
 
 class WriteAheadLog:
@@ -180,7 +191,8 @@ class WriteAheadLog:
         for end, payload in iter_frames(data):
             try:
                 yield LogEntry.decode(payload)
-            except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            except (CorruptHeapError, struct.error, IndexError,
+                    UnicodeDecodeError) as exc:
                 raise CorruptHeapError(
                     f"undecodable log entry at offset {pos}: {exc}"
                 ) from exc

@@ -63,6 +63,24 @@ class FailingEngine(MemoryEngine):
         super().apply_many(batches)
 
 
+class LostCommitEngine(MemoryEngine):
+    """A direct engine whose ``fail_call``-th commit is lost: its ticket
+    fails without applying anything, and later commits go through."""
+
+    def __init__(self, fail_call: int):
+        super().__init__()
+        self.calls = 0
+        self.fail_call = fail_call
+
+    def apply_async(self, batch: WriteBatch) -> CommitTicket:
+        self.calls += 1
+        if self.calls != self.fail_call:
+            return super().apply_async(batch)
+        ticket = CommitTicket(batch)
+        ticket._resolve(IOError("disk on fire"))
+        return ticket
+
+
 def record_batch(oid: int, payload: bytes = b"x") -> WriteBatch:
     return WriteBatch().write(Oid(oid), payload)
 
@@ -488,6 +506,54 @@ class TestStoreIntegration:
             store.close()
 
 
+    def test_unchanged_roots_are_not_read_under_the_pipeline_lock(
+            self, registry):
+        """A stabilise with no root change compares the roots against
+        the ones it last submitted, so it reaches submission while
+        another thread holds the pipeline's commit lock (as a group
+        commit does for its whole fsync)."""
+        engine = PipelinedEngine(MemoryEngine(), GroupPolicy())
+        submitted = threading.Event()
+        real_apply_async = engine.apply_async
+
+        def apply_async(batch):
+            submitted.set()
+            return real_apply_async(batch)
+
+        engine.apply_async = apply_async
+        store = ObjectStore(registry=registry, engine=engine)
+        ann = Person("ann")
+        store.set_root("p", ann)
+        store.stabilize()
+        assert engine._pipeline.pending_roots() is None
+        ann.name = "ann2"
+        submitted.clear()
+        results = {}
+        with engine._pipeline.commit_lock:
+            thread = threading.Thread(
+                target=lambda: results.update(n=store.stabilize()))
+            thread.start()
+            assert submitted.wait(10.0), "stabilise never reached submission"
+        thread.join(10.0)
+        assert results == {"n": 1}
+        store.close()
+
+    def test_failed_commit_resubmits_roots(self, registry):
+        """A failed commit forgets the root table it submitted, so the
+        next stabilise resubmits it."""
+        engine = LostCommitEngine(fail_call=2)
+        store = ObjectStore(registry=registry, engine=engine)
+        store.set_root("p", Person("ann"))
+        store.stabilize()
+        store.set_root("q", Person("bo"))
+        with pytest.raises(IOError):
+            store.stabilize()  # this commit's ticket fails
+        assert set(engine.roots()) == {"p"}
+        assert store.stabilize() == 1  # bo's record, re-dirtied
+        assert set(engine.roots()) == {"p", "q"}
+        store.close()
+
+
 def hold_encodes(monkeypatch, *names):
     """Hold each named thread in its stabilise's encode phase — after its
     walk — until released.  Returns ``{name: (reached, release)}``."""
@@ -547,8 +613,8 @@ class TestOutOfOrderCommits:
         a = self.start(store, "A", results)
         assert gates["A"][0].wait(10.0)
         # B walks, encodes and submits while A is held; its group
-        # commit then sits at the closed gate.  B's new root keeps the
-        # roots A compares against in the pipeline's pending overlay.
+        # commit then sits at the closed gate.  B's new root rides in
+        # its batch, so A finds the root table already submitted.
         store.set_root("q", Person("q"))
         child.gate.clear()
         child.entered.clear()
@@ -592,8 +658,8 @@ class TestOutOfOrderCommits:
         store, child, ann = setup
         gates = hold_encodes(monkeypatch, "A", "B")
         ann.name = "ann2"
-        # A new root keeps the roots both compare against in the
-        # pipeline's pending overlay while A's commit is in flight.
+        # A new root rides in A's batch, so B finds the root table
+        # already submitted.
         store.set_root("q", Person("q"))
         results = {}
         a = self.start(store, "A", results)

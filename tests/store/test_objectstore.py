@@ -4,11 +4,13 @@ referential integrity."""
 import pytest
 
 from repro.errors import (
+    SerializationError,
     StoreClosedError,
     UnknownOidError,
     UnknownRootError,
 )
 from repro.store.objectstore import ObjectStore
+from repro.store.serializer import Serializer
 
 from tests.conftest import Employee, Person
 
@@ -238,6 +240,65 @@ class TestReferentialIntegrity:
         fresh = store.refresh(person)
         assert fresh.name == "disk"
         assert fresh is not person
+
+
+class TestUnencodableState:
+    def test_failed_encode_changes_no_bookkeeping(self, store):
+        """A reachable string that cannot be stored fails the stabilise
+        with a typed error and leaves the dirty tracker as it was, so
+        the next stabilise writes the fixed value."""
+        ann = Person("ann")
+        people = [ann]
+        store.set_root("people", people)
+        store.stabilize()
+        ann.name = "\udc80"
+        people.append(Person("\udc80"))
+        sigs = dict(store._stored_sig)
+        shadows = dict(store._shadow)
+        seqs = dict(store._commit_seq)
+        with pytest.raises(SerializationError):
+            store.stabilize()
+        assert store._stored_sig == sigs
+        assert store._shadow == shadows
+        assert all(store._shadow[oid] is shadows[oid] for oid in shadows)
+        assert store._commit_seq == seqs
+        ann.name = "ann2"
+        people[1].name = "cara"
+        assert store.stabilize() == 3  # ann, the list and the new person
+        oid = store.oid_of(ann)
+        assert store.stored_record(oid).payload["name"] == "ann2"
+        assert store.verify_referential_integrity() == []
+
+
+class TestOneReadPerObject:
+    def test_stabilise_reads_each_instance_once(self, registry,
+                                                monkeypatch):
+        reads = []
+        fields_of = Serializer._instance_fields
+
+        def counted(obj, entry):
+            reads.append(obj)
+            return fields_of(obj, entry)
+
+        monkeypatch.setattr(Serializer, "_instance_fields",
+                            staticmethod(counted))
+        people = [Person(f"p{i}") for i in range(50)]
+        for i, person in enumerate(people):
+            person.spouse = people[(i * 7) % 50]
+        with ObjectStore.in_memory(registry=registry) as store:
+            store.set_root("people", people)
+            store.set_root("index", {p.name: p for p in people})
+            reads.clear()
+            store.stabilize()  # every instance newly reached
+            assert len(reads) == 50
+            assert {id(p) for p in reads} == {id(p) for p in people}
+            reads.clear()
+            assert store.stabilize() == 0  # clean
+            assert len(reads) == 50
+            people[3].name = "moved"
+            reads.clear()
+            assert store.stabilize() == 1
+            assert len(reads) == 50
 
 
 class TestLifecycle:

@@ -1,12 +1,13 @@
 """Typed serialisation: value tags, varints, records, shells and fills."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeserializationError, SerializationError
 from repro.store.oids import Oid
 from repro.store.registry import ClassRegistry
 from repro.store.serializer import (
+    KIND_BYTEARRAY,
     KIND_DICT,
     KIND_INSTANCE,
     KIND_LIST,
@@ -20,6 +21,8 @@ from repro.store.serializer import (
     is_inline,
     read_svarint,
     read_uvarint,
+    snapshot_record,
+    snapshot_refs,
     unwrap_record,
     write_svarint,
     write_uvarint,
@@ -122,6 +125,17 @@ class TestValueEncoding:
     ))
     def test_inline_values_roundtrip_property(self, value):
         assert roundtrip_value(value) == value
+
+
+class TestUnencodableValues:
+    def test_lone_surrogate_is_a_serialization_error(self):
+        with pytest.raises(SerializationError, match="UTF-8"):
+            encode_value(bytearray(), "\udc80", lambda obj: Oid(1))
+
+    def test_record_with_lone_surrogate_field(self):
+        record = Record(Oid(1), KIND_LIST, "", "", ["ok", ("\udc80",)])
+        with pytest.raises(SerializationError):
+            record.to_bytes()
 
 
 class TestUntrustedBytes:
@@ -241,26 +255,139 @@ class TestRecords:
             ser.encode_object(Oid(1), NotRegistered(), lambda obj: Oid(2))
 
 
-class TestReferencesOf:
+class Bag:
+    """An instance whose fields come from its ``__dict__``."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+
+def oracle_record(registry, oid, obj, ref_fn):
+    """The record as built before the walk read state once: each value
+    encoded into bytes and decoded back out."""
+    def as_ref(value):
+        buf = bytearray()
+        encode_value(buf, value, ref_fn)
+        return decode_value(bytes(buf), 0)[0]
+
+    if type(obj) is list:
+        return Record(oid, KIND_LIST, "", "", [as_ref(v) for v in obj])
+    if type(obj) is set:
+        return Record(oid, KIND_SET, "", "", [as_ref(v) for v in obj])
+    if type(obj) is dict:
+        pairs = [(as_ref(k), as_ref(v)) for k, v in obj.items()]
+        return Record(oid, KIND_DICT, "", "", pairs)
+    if type(obj) is bytearray:
+        return Record(oid, KIND_BYTEARRAY, "", "", bytes(obj))
+    entry = registry.entry_for_class(type(obj))
+    fields = Serializer._instance_fields(obj, entry)
+    payload = {name: as_ref(value) for name, value in fields.items()}
+    return Record(oid, KIND_INSTANCE, entry.name, entry.fingerprint, payload)
+
+
+#: Storable nodes values may reference (never mutated by the tests).
+_PEOPLE = [Person(f"n{i}") for i in range(3)]
+_CONTAINERS = [[1], {"k": 2}, {3}, bytearray(b"x")]
+
+_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(-1000, 1000),
+    st.integers(min_value=2 ** 64), st.integers(max_value=-2 ** 64),
+    st.floats(), st.sampled_from([0.0, -0.0, float("inf"), float("-inf"),
+                                  float("nan")]),
+    st.complex_numbers(), st.text(), st.binary(),
+)
+_hashables = st.recursive(
+    _atoms | st.sampled_from(_PEOPLE),
+    lambda children: (st.lists(children, max_size=3).map(tuple)
+                      | st.frozensets(children, max_size=3)),
+    max_leaves=8,
+)
+_values = st.recursive(
+    _hashables | st.sampled_from(_CONTAINERS),
+    lambda children: st.lists(children, max_size=3).map(tuple),
+    max_leaves=8,
+)
+
+
+def _person(name, spouse):
+    person = Person.__new__(Person)
+    person.name, person.spouse = name, spouse
+    return person
+
+
+_objects = st.one_of(
+    st.lists(_values, max_size=6),
+    st.sets(_hashables, max_size=6),
+    st.dictionaries(_hashables, _values, max_size=6),
+    st.binary(max_size=8).map(bytearray),
+    st.builds(_person, _values, _values),
+    st.dictionaries(st.sampled_from(["a", "b", "_hidden", "z"]), _values,
+                    max_size=4).map(lambda fields: Bag(**fields)),
+)
+
+
+class TestSnapshotRecord:
+    """A record built from the walk's snapshot is byte-identical to the
+    old encode-then-decode construction, and asks for OIDs in the same
+    order."""
+
+    @staticmethod
+    def allocator(calls):
+        oids = {}
+
+        def ref_fn(obj):
+            calls.append(obj)
+            return oids.setdefault(id(obj), Oid(100 + len(oids)))
+        return ref_fn
+
+    @settings(max_examples=300, deadline=None)
+    @given(_objects)
+    def test_matches_encode_decode_oracle(self, obj):
+        reg = ClassRegistry()
+        reg.register(Person)
+        reg.register(Bag)
+        ser = Serializer(reg)
+        new_calls, old_calls = [], []
+        record = snapshot_record(Oid(7), ser.snapshot(obj),
+                                 self.allocator(new_calls))
+        oracle = oracle_record(reg, Oid(7), obj, self.allocator(old_calls))
+        assert record.to_bytes() == oracle.to_bytes()
+        assert [id(o) for o in new_calls] == [id(o) for o in old_calls]
+        assert ser.encode_object(Oid(7), obj, self.allocator([])) \
+            .to_bytes() == oracle.to_bytes()
+
+    def test_snapshot_refs_follow_the_record_order(self, serializer):
+        __, ser = serializer
+        a, b, c = Person("a"), Person("b"), Person("c")
+        obj = {(a, 1): [b], "x": frozenset({c})}
+        calls = []
+        snapshot_record(Oid(1), ser.snapshot(obj), self.allocator(calls))
+        assert calls == snapshot_refs(ser.snapshot(obj))
+
+
+class TestSnapshotRefs:
+    """The walk's edges, derived from the one snapshot it takes."""
+
     def test_instance_references(self, serializer):
         __, ser = serializer
         a, b = Person("a"), Person("b")
         a.spouse = b
-        assert ser.references_of(a) == [b]
+        assert snapshot_refs(ser.snapshot(a)) == [b]
 
     def test_weakref_has_no_references(self, serializer):
         __, ser = serializer
-        assert ser.references_of(PersistentWeakRef(Person("x"))) == []
+        # No snapshot, so the walk takes no strong edge from a weakref.
+        assert ser.snapshot(PersistentWeakRef(Person("x"))) is None
 
     def test_tuple_contents_traversed(self, serializer):
         __, ser = serializer
         inner = [1]
-        assert ser.references_of([(1, (inner,))]) == [inner]
+        assert snapshot_refs(ser.snapshot([(1, (inner,))])) == [inner]
 
     def test_dict_keys_and_values_traversed(self, serializer):
         __, ser = serializer
         key, value = (Person("k"),), Person("v")
-        refs = ser.references_of({key: value})
+        refs = snapshot_refs(ser.snapshot({key: value}))
         assert refs == [key[0], value]
 
 

@@ -1,9 +1,14 @@
 """Write-ahead log: framing, commit atomicity, torn-tail tolerance."""
 
 import os
+import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import CorruptHeapError
+from repro.store.engine import FileEngine
 from repro.store.oids import Oid
 from repro.store.wal import (
     ENTRY_BEGIN,
@@ -15,6 +20,7 @@ from repro.store.wal import (
     ENTRY_WRITE,
     LogEntry,
     WriteAheadLog,
+    frame_payload,
 )
 
 
@@ -45,6 +51,70 @@ class TestEntryCodec:
         for kind in (ENTRY_BEGIN, ENTRY_COMMIT):
             back = LogEntry.decode(LogEntry(kind, 5).encode())
             assert back.kind == kind and back.txn_id == 5
+
+
+class TestEntryDecoding:
+    """A CRC-valid frame whose entry does not decode is corruption, not
+    an entry for replay to skip or cut short."""
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(CorruptHeapError, match="unknown log entry kind"):
+            LogEntry.decode(b"Z" + bytes(8))
+
+    def test_root_name_overrunning_the_entry_rejected(self):
+        payload = (ENTRY_ROOT + struct.pack("<QQI", 1, 2, 10) + b"short")
+        with pytest.raises(CorruptHeapError, match="overruns"):
+            LogEntry.decode(payload)
+
+    @pytest.mark.parametrize("payload", [
+        b"Z" + bytes(8),
+        ENTRY_UNROOT + struct.pack("<QQI", 1, 0, 1),
+        ENTRY_ROOT + struct.pack("<QQI", 1, 2, 1) + b"\xff",
+        ENTRY_WRITE + bytes(8),
+        b"",
+    ])
+    def test_reader_reports_corruption(self, tmp_path, payload):
+        path = str(tmp_path / "bad.wal")
+        with open(path, "wb") as fh:
+            fh.write(frame_payload(payload))
+        with WriteAheadLog(path) as log:
+            if payload:
+                with pytest.raises(CorruptHeapError, match="offset 0"):
+                    log.committed_batches()
+            else:
+                assert log.committed_batches() == []  # empty frame: torn
+
+    @staticmethod
+    def open_with_wal(*payloads: bytes) -> None:
+        """Open a file engine whose WAL holds ``payloads``' frames: it
+        either opens or raises :class:`CorruptHeapError`."""
+        with tempfile.TemporaryDirectory() as directory:
+            FileEngine(directory).close()
+            with open(os.path.join(directory, "store.wal"), "ab") as fh:
+                for payload in payloads:
+                    fh.write(frame_payload(payload))
+            try:
+                engine = FileEngine(directory)
+            except CorruptHeapError:
+                return
+            engine.close()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.binary())
+    def test_arbitrary_valid_frame_opens_or_is_corruption(self, payload):
+        self.open_with_wal(payload)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([ENTRY_WRITE, ENTRY_DELETE, ENTRY_ROOT,
+                            ENTRY_UNROOT, ENTRY_NEXT_OID]),
+           st.binary(min_size=8))
+    def test_arbitrary_committed_entry_replays_or_is_corruption(
+            self, kind, body):
+        # The same frame inside a committed batch of its own txn id, so
+        # replay applies whatever it decodes to.
+        txn = struct.unpack_from("<Q", body)[0]
+        self.open_with_wal(LogEntry(ENTRY_BEGIN, txn).encode(), kind + body,
+                           LogEntry(ENTRY_COMMIT, txn).encode())
 
 
 class TestCommitAtomicity:
